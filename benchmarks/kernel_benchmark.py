@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Throughput comparison of the numba kernels against the numpy fallback.
+"""Throughput of the window kernels and of the dense level assembly.
 
 Times the four window kernels (scatter, gather, squared scatter, fused
-normal product) on a synthetic smoothing workload and prints one table row
-per kernel and backend.  Useful for checking whether the jit path is worth
-it on a given machine, and for spotting regressions in either path.
+normal product) and the dense Gram assembly behind
+``LevelOperator.assemble_dense`` on a synthetic smoothing workload, and
+prints one table row per kernel.  Useful for spotting regressions in the
+kernel path in isolation.
 
     python3 benchmarks/kernel_benchmark.py [--n 200000] [--dim 3] [--level 5]
+
+The dense assembly runs on level 1, the coarse level that the multigrid
+hierarchy factorizes.
 """
 import argparse
 import time
@@ -17,13 +21,10 @@ from splinemg import build_space, kernels
 from splinemg.system import design_factors
 
 
-def make_workload(n, dim, level, degree=3, seed=0):
+def make_factors(n, dim, level, degree=3, seed=0):
     gen = np.random.default_rng(seed)
     spaces = tuple(build_space(0.0, 1.0, level, degree) for _ in range(dim))
-    factors = design_factors(spaces, gen.random((n, dim)))
-    x_cols = gen.standard_normal(factors.n_cols)
-    x_rows = gen.standard_normal(factors.n_rows)
-    return factors, x_cols, x_rows
+    return design_factors(spaces, gen.random((n, dim)))
 
 
 def bench(fn, repeats):
@@ -43,46 +44,29 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    f, x_cols, x_rows = make_workload(args.n, args.dim, args.level)
+    f = make_factors(args.n, args.dim, args.level)
+    c = make_factors(args.n, args.dim, 1)
+    gen = np.random.default_rng(1)
+    x_cols = gen.standard_normal(f.n_cols)
+    x_rows = gen.standard_normal(f.n_rows)
     print(
         f"workload: n={args.n}, dim={args.dim}, level={args.level}, "
-        f"coefficients={f.n_rows}, window={f.rel.shape[0]}"
+        f"coefficients={f.n_rows}, window={f.rel.shape[0]}; "
+        f"dense level 1: coefficients={c.n_rows}"
     )
 
+    win = (f.values, f.base, f.rel, f.digits)
     runs = {
-        "scatter": lambda k: k["scatter"](
-            f.values, f.base, f.rel, f.digits, x_cols, np.zeros(f.n_rows)
-        ),
-        "gather": lambda k: k["gather"](
-            f.values, f.base, f.rel, f.digits, x_rows, np.empty(f.n_cols)
-        ),
-        "scatter_squares": lambda k: k["scatter_squares"](
-            f.values, f.base, f.rel, f.digits, np.zeros(f.n_rows)
-        ),
-        "gram_matvec": lambda k: k["gram_matvec"](
-            f.values, f.base, f.rel, f.digits, x_rows, np.zeros(f.n_rows)
-        ),
+        "scatter": lambda: kernels.scatter(*win, x_cols, np.zeros(f.n_rows)),
+        "gather": lambda: kernels.gather(*win, x_rows, np.empty(f.n_cols)),
+        "scatter_squares": lambda: kernels.scatter_squares(*win, np.zeros(f.n_rows)),
+        "gram_matvec": lambda: kernels.gram_matvec(*win, x_rows, np.zeros(f.n_rows)),
+        "dense_gram": lambda: kernels.dense_gram(c.values, c.base, c.rel, c.digits, c.n_rows),
     }
-
-    backends = ["numpy"]
-    if kernels.NUMBA_ENABLED:
-        backends.insert(0, "numba")
-    else:
-        print("numba unavailable; timing the numpy fallback only")
-
-    print(f"{'kernel':<16} " + " ".join(f"{b + ' [ms]':>12}" for b in backends) +
-          ("  speedup" if len(backends) == 2 else ""))
+    print(f"{'kernel':<16} {'time [ms]':>12}")
     for name, run in runs.items():
-        row = [f"{name:<16}"]
-        timings = []
-        for backend in backends:
-            table = kernels.get_backend(backend)
-            run(table)  # warm-up / jit compile
-            timings.append(bench(lambda: run(table), args.repeats))
-            row.append(f"{timings[-1] * 1e3:>12.2f}")
-        if len(timings) == 2:
-            row.append(f"  {timings[1] / timings[0]:>6.1f}x")
-        print(" ".join(row))
+        run()  # warm-up
+        print(f"{name:<16} {bench(run, args.repeats) * 1e3:>12.2f}")
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ optional header line are skipped.  A fit writes into its output directory:
 
 ``predict`` consumes a fit directory and raw-coordinate points; coordinates
 are mapped through the stored per-axis affine scaling before evaluation.
+Points that map outside the fitted box get ``nan`` (their count goes to
+stderr); non-finite coordinates are an error.
 
 Environment variables ``SPLINEMG_<FLAG>`` (e.g. ``SPLINEMG_LAMBDA``,
 ``SPLINEMG_LEVELS``, ``SPLINEMG_TOL``, ``SPLINEMG_DENSE_CAP``) provide
-defaults; explicit flags win.  ``SPLINEMG_KERNELS`` selects the kernel
-backend at import time.
+defaults; explicit flags win.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import analysis, kernels
+from . import analysis
 from .bsplines import build_space
 from .datasets import generate_dataset, read_dataset, read_table, write_dataset
 from .errors import (
@@ -287,7 +288,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "hierarchy_bytes": hier.memory_reals() * 8,
             "solver_auxiliary_bytes": report_solve.peak_auxiliary_memory_estimate,
         },
-        "kernel_backend": kernels.ACTIVE_BACKEND,
         "total_wall_time_seconds": time.perf_counter() - t0,
     }
     with open(os.path.join(cfg.output, "report.json"), "w", encoding="utf-8") as fh:
@@ -363,8 +363,23 @@ def _cmd_predict(args) -> int:
         raise ShapeError(
             f"{args.model}: coefficient file has {alpha.shape[0]} entries, expected {size}"
         )
-    factors = design_factors(spaces, points)
-    values = khatri_rao_tmatvec(factors, alpha)
+    if not np.isfinite(points).all():
+        rows = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        raise DomainError(
+            f"{args.input}: {rows.size} point(s) with non-finite coordinates, "
+            f"first offending rows {rows[:10].tolist()}"
+        )
+    lower = np.array([s.lower for s in spaces])
+    upper = np.array([s.upper for s in spaces])
+    inside = ((points >= lower) & (points <= upper)).all(axis=1)
+    outside = points.shape[0] - int(inside.sum())
+    values = np.full(points.shape[0], np.nan)
+    values[inside] = khatri_rao_tmatvec(
+        design_factors(spaces, points[inside] if outside else points), alpha
+    )
+    if outside:
+        print(f"{outside} point(s) outside the fitted box; their predictions are nan",
+              file=sys.stderr)
     np.savetxt(
         args.output,
         np.column_stack([table[:, :dim], values]),

@@ -52,22 +52,25 @@ def write_dataset(path, points, responses) -> None:
 def read_table(path) -> np.ndarray:
     """Read a delimited text table (comma or whitespace separated, ``#``
     comments and an optional non-numeric header line allowed)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    # Only the leading lines are read here: comments and blank lines, at most
+    # one header, and the first data line, which decides the delimiter.
     skip = 0
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            skip += 1
-            continue
-        try:
-            float(stripped.replace(",", " ").split()[0])
-        except ValueError:
-            skip += 1
-        break
-    delimiter = "," if any("," in ln for ln in lines[skip : skip + 1]) else None
-    data = np.loadtxt(path, delimiter=delimiter, skiprows=skip, ndmin=2)
-    return data
+    first = ""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                skip += 1
+                continue
+            try:
+                float(stripped.replace(",", " ").split()[0])
+            except ValueError:
+                skip += 1
+                line = next(fh, "")
+            first = line
+            break
+    delimiter = "," if "," in first else None
+    return np.loadtxt(path, delimiter=delimiter, skiprows=skip, ndmin=2)
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:

@@ -1,50 +1,20 @@
 """Hot inner loops: columnwise rank-one scatter/gather kernels.
 
-The four kernels below dominate runtime for large point sets.  Each rank-one
+The kernels below dominate runtime for large point sets.  Each rank-one
 column of a columnwise-Kronecker operator touches only a small window of
-positions per axis, and the kernels walk exactly those windows.
-
-Two interchangeable backends exist:
-
-* ``numba`` (default): ``@njit``-compiled point loops, no large scratch.
-* ``numpy``: chunked vectorized fallback using fancy indexing + ``bincount``.
-
-Selection happens once at import via the ``SPLINEMG_KERNELS`` environment
-variable (``auto``, ``numba`` or ``numpy``).  Both backends are sequential
-and bit-deterministic.  ``get_backend(name)`` exposes both for benchmarking.
+positions per axis, and the kernels walk exactly those windows, ``CHUNK``
+points at a time with vectorized numpy (fancy indexing + ``bincount``).
+Every product with the design windows goes through `_window_weights`.  The
+kernels are sequential and bit-deterministic.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_CHOICE = os.environ.get("SPLINEMG_KERNELS", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"SPLINEMG_KERNELS must be 'auto', 'numba' or 'numpy', got {_CHOICE!r}"
-    )
-
-if _CHOICE == "numpy":
-    NUMBA_ENABLED = False
-else:
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        if _CHOICE == "numba":
-            raise
-        NUMBA_ENABLED = False
-
-# Chunk length of the vectorized fallback; bounds its scratch memory at
-# roughly 4 * CHUNK * ncomb values.
+# Points per vectorized step; bounds the scratch memory at roughly
+# 4 * CHUNK * ncomb values.
 CHUNK = 2048
 
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
 
 def _window_weights(vals, digits, lo, hi):
     """Combined per-column window weights for points lo:hi, shape (hi-lo, ncomb)."""
@@ -54,7 +24,7 @@ def _window_weights(vals, digits, lo, hi):
     return w
 
 
-def _np_scatter(vals, base, rel, digits, x, out):
+def scatter(vals, base, rel, digits, x, out):
     for lo in range(0, base.shape[0], CHUNK):
         hi = min(lo + CHUNK, base.shape[0])
         w = _window_weights(vals, digits, lo, hi)
@@ -65,7 +35,7 @@ def _np_scatter(vals, base, rel, digits, x, out):
     return out
 
 
-def _np_gather(vals, base, rel, digits, y, out):
+def gather(vals, base, rel, digits, y, out):
     for lo in range(0, base.shape[0], CHUNK):
         hi = min(lo + CHUNK, base.shape[0])
         w = _window_weights(vals, digits, lo, hi)
@@ -74,7 +44,7 @@ def _np_gather(vals, base, rel, digits, y, out):
     return out
 
 
-def _np_scatter_squares(vals, base, rel, digits, out):
+def scatter_squares(vals, base, rel, digits, out):
     for lo in range(0, base.shape[0], CHUNK):
         hi = min(lo + CHUNK, base.shape[0])
         w = _window_weights(vals, digits, lo, hi)
@@ -83,7 +53,7 @@ def _np_scatter_squares(vals, base, rel, digits, out):
     return out
 
 
-def _np_gram_matvec(vals, base, rel, digits, x, out):
+def gram_matvec(vals, base, rel, digits, x, out):
     # Fused gather-then-scatter: out += A (A' x) without an n-length buffer.
     for lo in range(0, base.shape[0], CHUNK):
         hi = min(lo + CHUNK, base.shape[0])
@@ -94,109 +64,24 @@ def _np_gram_matvec(vals, base, rel, digits, x, out):
     return out
 
 
-_NUMPY_BACKEND = {
-    "scatter": _np_scatter,
-    "gather": _np_gather,
-    "scatter_squares": _np_scatter_squares,
-    "gram_matvec": _np_gram_matvec,
-}
+def dense_gram(vals, base, rel, digits, size):
+    """Dense ``A A'`` of shape (size, size), summed point by point.
 
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @numba.njit(cache=True)
-    def _nb_scatter(vals, base, rel, digits, x, out):
-        n = base.shape[0]
-        ncomb, num_axes = digits.shape
-        for i in range(n):
-            xi = x[i]
-            if xi == 0.0:
-                continue
-            b = base[i]
-            for c in range(ncomb):
-                w = xi
-                for p in range(num_axes):
-                    w *= vals[i, p, digits[c, p]]
-                out[b + rel[c]] += w
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_gather(vals, base, rel, digits, y, out):
-        n = base.shape[0]
-        ncomb, num_axes = digits.shape
-        for i in range(n):
-            b = base[i]
-            acc = 0.0
-            for c in range(ncomb):
-                w = 1.0
-                for p in range(num_axes):
-                    w *= vals[i, p, digits[c, p]]
-                acc += w * y[b + rel[c]]
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_scatter_squares(vals, base, rel, digits, out):
-        n = base.shape[0]
-        ncomb, num_axes = digits.shape
-        for i in range(n):
-            b = base[i]
-            for c in range(ncomb):
-                w = 1.0
-                for p in range(num_axes):
-                    w *= vals[i, p, digits[c, p]]
-                out[b + rel[c]] += w * w
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_gram_matvec(vals, base, rel, digits, x, out, wbuf):
-        n = base.shape[0]
-        ncomb, num_axes = digits.shape
-        for i in range(n):
-            b = base[i]
-            s = 0.0
-            for c in range(ncomb):
-                w = 1.0
-                for p in range(num_axes):
-                    w *= vals[i, p, digits[c, p]]
-                wbuf[c] = w
-                s += w * x[b + rel[c]]
-            if s != 0.0:
-                for c in range(ncomb):
-                    out[b + rel[c]] += wbuf[c] * s
-        return out
-
-    def _nb_gram_matvec_entry(vals, base, rel, digits, x, out):
-        wbuf = np.empty(rel.shape[0])
-        return _nb_gram_matvec(vals, base, rel, digits, x, out, wbuf)
-
-    _NUMBA_BACKEND = {
-        "scatter": _nb_scatter,
-        "gather": _nb_gather,
-        "scatter_squares": _nb_scatter_squares,
-        "gram_matvec": _nb_gram_matvec_entry,
-    }
-
-
-def get_backend(name: str) -> dict:
-    """Return the kernel table for ``'numba'`` or ``'numpy'``."""
-    if name == "numpy":
-        return _NUMPY_BACKEND
-    if name == "numba":
-        if not NUMBA_ENABLED:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        return _NUMBA_BACKEND
-    raise ValueError(f"unknown backend {name!r}")
-
-
-ACTIVE_BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-_ACTIVE = get_backend(ACTIVE_BACKEND)
-
-scatter = _ACTIVE["scatter"]
-gather = _ACTIVE["gather"]
-scatter_squares = _ACTIVE["scatter_squares"]
-gram_matvec = _ACTIVE["gram_matvec"]
+    Each entry adds its per-point products in point order, as `gram_matvec`
+    does within one chunk, so that below ``CHUNK`` points the result equals
+    the probed columns of `gram_matvec` bit for bit.  Only the upper
+    triangle is accumulated (``rel`` increases along the window, so window
+    pair ``c0 <= c1`` lands on or above the diagonal) and then mirrored.
+    """
+    out = np.zeros((size, size))
+    flat = out.reshape(-1)
+    c0, c1 = np.triu_indices(rel.shape[0])
+    pair = rel[c0] * size + rel[c1]
+    step = max(1, CHUNK // rel.shape[0])
+    for lo in range(0, base.shape[0], step):
+        hi = min(lo + step, base.shape[0])
+        w = _window_weights(vals, digits, lo, hi)
+        idx = (base[lo:hi] * (size + 1))[:, None] + pair[None, :]
+        np.add.at(flat, idx.ravel(), (w[:, c0] * w[:, c1]).ravel())
+    out += np.triu(out, 1).T
+    return out

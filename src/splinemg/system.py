@@ -15,6 +15,7 @@ from math import factorial, prod
 
 import numpy as np
 
+from . import kernels
 from .bsplines import build_space, eval_basis_batch, gram_matrix
 from .errors import CapacityError, DomainError, ParameterError, ShapeError
 from .tensorops import (
@@ -243,14 +244,8 @@ class LevelOperator:
             raise CapacityError(
                 f"dense assembly of a {self.size}x{self.size} operator exceeds cap {cap}"
             )
-        a = np.zeros((self.size, self.size))
         f = self.design
-        for i in range(f.n_cols):
-            w = np.ones(f.rel.shape[0])
-            for p in range(f.num_axes):
-                w = w * f.values[i, p, f.digits[:, p]]
-            idx = f.base[i] + f.rel
-            a[np.ix_(idx, idx)] += np.outer(w, w)
+        a = kernels.dense_gram(f.values, f.base, f.rel, f.digits, self.size)
         for term in self.penalty:
             a += (self.lam * term.weight) * reduce(np.kron, term.factors)
         return a

@@ -171,11 +171,8 @@ class KhatriRaoFactors:
     def toarray(self) -> np.ndarray:
         """Densify (small instances only: oracles and debugging)."""
         out = np.zeros((self.n_rows, self.n_cols))
-        for c in range(self.rel.shape[0]):
-            w = np.ones(self.n_cols)
-            for p in range(self.num_axes):
-                w = w * self.values[:, p, self.digits[c, p]]
-            out[self.base + self.rel[c], np.arange(self.n_cols)] += w
+        w = kernels._window_weights(self.values, self.digits, 0, self.n_cols)
+        out[self.base[:, None] + self.rel[None, :], np.arange(self.n_cols)[:, None]] = w
         return out
 
 

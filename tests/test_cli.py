@@ -144,6 +144,28 @@ class TestFit:
         assert corners.min() == 0.0 and corners.max() == 1.0
 
 
+class TestPredict:
+    def test_points_outside_fitted_box_get_nan(self, fit_dir, tmp_path, capsys):
+        both, alone = tmp_path / "both.txt", tmp_path / "alone.txt"
+        np.savetxt(both, [[0.5, 0.5], [1.5, 0.5]])
+        np.savetxt(alone, [[0.5, 0.5]])
+        for name in ("both", "alone"):
+            assert run(["predict", "--model", fit_dir, "--input", tmp_path / f"{name}.txt",
+                        "--output", tmp_path / f"{name}_pred.txt"]) == cli.EXIT_OK
+        assert "1 point(s) outside" in capsys.readouterr().err
+        preds = np.loadtxt(tmp_path / "both_pred.txt")
+        npt.assert_array_equal(preds[:, :2], [[0.5, 0.5], [1.5, 0.5]])
+        assert preds[0, 2] == np.loadtxt(tmp_path / "alone_pred.txt")[2]
+        assert np.isnan(preds[1, 2])
+
+    def test_non_finite_coordinates_exit_code(self, fit_dir, tmp_path):
+        queries = tmp_path / "q.txt"
+        queries.write_text("0.5 0.5\nnan 0.5\n")
+        code = run(["predict", "--model", fit_dir, "--input", queries,
+                    "--output", tmp_path / "p.txt"])
+        assert code == cli.EXIT_CONFIG
+
+
 class TestEnvDefaults:
     def test_env_sets_default_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPLINEMG_LEVELS", "2")

@@ -60,11 +60,12 @@ class TestDatasetIo:
         npt.assert_allclose(y2, y, atol=1e-16)
 
     def test_reads_comma_separated(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("0.1,0.2,1.5\n0.3,0.4,2.5\n")
-        pts, y = read_dataset(path)
-        npt.assert_allclose(pts, [[0.1, 0.2], [0.3, 0.4]])
-        npt.assert_allclose(y, [1.5, 2.5])
+        for header in ("", "x1,x2,y\n"):
+            path = tmp_path / "d.csv"
+            path.write_text(header + "0.1,0.2,1.5\n0.3,0.4,2.5\n")
+            pts, y = read_dataset(path)
+            npt.assert_allclose(pts, [[0.1, 0.2], [0.3, 0.4]])
+            npt.assert_allclose(y, [1.5, 2.5])
 
     def test_skips_header_and_comments(self, tmp_path):
         path = tmp_path / "d.txt"

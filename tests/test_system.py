@@ -12,6 +12,7 @@ from splinemg import (
     greville_points,
     penalty_terms,
 )
+from splinemg import kernels
 from splinemg.system import LevelOperator
 from conftest import make_dataset
 from oracles import dense_rhs, dense_system_matrix, dense_tensor_design
@@ -68,11 +69,13 @@ class TestAgainstDenseOracle:
         npt.assert_allclose(op.diagonal(), np.diag(dense), rtol=1e-12, atol=1e-12 * scale)
 
     def test_assemble_dense_matches_oracle(self, num_axes, level):
-        data = make_dataset(num_axes, 60, seed=level + 10)
-        op = build_level(data, level, 0.7)
-        a = op.assemble_dense()
-        ref = dense_system_matrix(op)
-        npt.assert_allclose(a, ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
+        # the larger input spans several kernel chunks
+        for n in (60, kernels.CHUNK + 500):
+            data = make_dataset(num_axes, n, seed=level + 10)
+            op = build_level(data, level, 0.7)
+            a = op.assemble_dense()
+            ref = dense_system_matrix(op)
+            npt.assert_allclose(a, ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
 
 
 class TestApply:

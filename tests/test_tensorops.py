@@ -233,31 +233,44 @@ class TestKhatriRao:
             KhatriRaoFactors.from_dense([np.ones((2, 2)), np.ones((2, 3))])
 
 
-class TestBackends:
-    """The numba kernels and the chunked numpy fallback must agree."""
+class TestKernels:
+    """The window kernels against the densified operator, across several
+    ``CHUNK`` boundaries."""
 
-    @pytest.mark.parametrize("name", ["scatter", "gather", "scatter_squares", "gram_matvec"])
-    def test_backend_equivalence(self, name, rng):
-        if not kernels.NUMBA_ENABLED:
-            pytest.skip("numba unavailable")
+    @pytest.fixture(scope="class")
+    def windows(self, rng):
         n, dims, width = 3 * kernels.CHUNK + 17, (9, 8), 4
         offsets = np.column_stack(
             [rng.integers(0, d - width + 1, size=n) for d in dims]
         ).astype(np.int64)
         windows = [rng.standard_normal((n, width)) for _ in dims]
         f = KhatriRaoFactors.from_windows(dims, offsets, windows)
-        x_cols = rng.standard_normal(n)
+        dense_factors = []
+        for p, d in enumerate(dims):
+            m = np.zeros((d, n))
+            m[offsets[:, p, None] + np.arange(width), np.arange(n)[:, None]] = windows[p]
+            dense_factors.append(m)
+        dense = f.toarray()
+        npt.assert_allclose(dense, dense_khatri_rao(dense_factors), atol=1e-14)
+        return f, dense
+
+    @pytest.mark.parametrize(
+        "name", ["scatter", "gather", "scatter_squares", "gram_matvec", "dense_gram"]
+    )
+    def test_kernel_matches_dense(self, name, windows, rng):
+        f, dense = windows
+        x_cols = rng.standard_normal(f.n_cols)
         x_rows = rng.standard_normal(f.n_rows)
-        results = {}
-        for backend_name in ("numba", "numpy"):
-            fn = kernels.get_backend(backend_name)[name]
-            if name == "scatter":
-                out = fn(f.values, f.base, f.rel, f.digits, x_cols, np.zeros(f.n_rows))
-            elif name == "gather":
-                out = fn(f.values, f.base, f.rel, f.digits, x_rows, np.empty(n))
-            elif name == "scatter_squares":
-                out = fn(f.values, f.base, f.rel, f.digits, np.zeros(f.n_rows))
-            else:
-                out = fn(f.values, f.base, f.rel, f.digits, x_rows, np.zeros(f.n_rows))
-            results[backend_name] = out
-        npt.assert_allclose(results["numba"], results["numpy"], rtol=1e-12, atol=1e-12)
+        args = (f.values, f.base, f.rel, f.digits)
+        if name == "scatter":
+            out, ref = kernels.scatter(*args, x_cols, np.zeros(f.n_rows)), dense @ x_cols
+        elif name == "gather":
+            out, ref = kernels.gather(*args, x_rows, np.empty(f.n_cols)), dense.T @ x_rows
+        elif name == "scatter_squares":
+            out, ref = kernels.scatter_squares(*args, np.zeros(f.n_rows)), (dense**2).sum(axis=1)
+        elif name == "gram_matvec":
+            out = kernels.gram_matvec(*args, x_rows, np.zeros(f.n_rows))
+            ref = dense @ (dense.T @ x_rows)
+        else:
+            out, ref = kernels.dense_gram(*args, f.n_rows), dense @ dense.T
+        npt.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
