@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Throughput of the window kernels and of the dense level assembly.
+"""Throughput of the window kernels, the dense level assembly and the
+penalty Kronecker products.
 
 Times the four window kernels (scatter, gather, squared scatter, fused
-normal product) and the dense Gram assembly behind
-``LevelOperator.assemble_dense`` on a synthetic smoothing workload, and
-prints one table row per kernel.  Useful for spotting regressions in the
-kernel path in isolation.
+normal product), the dense Gram assembly behind
+``LevelOperator.assemble_dense`` and one application of every penalty term
+(``kron_matvec`` over the sparse 1D Gram factors of ``penalty_terms``) on a
+synthetic smoothing workload, and prints one table row per kernel.  Useful
+for spotting regressions in the kernel path in isolation.
 
     python3 benchmarks/kernel_benchmark.py [--n 200000] [--dim 3] [--level 5]
 
@@ -17,7 +19,7 @@ import time
 
 import numpy as np
 
-from splinemg import build_space, kernels
+from splinemg import build_space, kernels, kron_matvec, penalty_terms
 from splinemg.system import design_factors
 
 
@@ -46,13 +48,14 @@ def main():
 
     f = make_factors(args.n, args.dim, args.level)
     c = make_factors(args.n, args.dim, 1)
+    terms = penalty_terms(tuple(build_space(0.0, 1.0, args.level, 3) for _ in range(args.dim)))
     gen = np.random.default_rng(1)
     x_cols = gen.standard_normal(f.n_cols)
     x_rows = gen.standard_normal(f.n_rows)
     print(
         f"workload: n={args.n}, dim={args.dim}, level={args.level}, "
         f"coefficients={f.n_rows}, window={f.rel.shape[0]}; "
-        f"dense level 1: coefficients={c.n_rows}"
+        f"dense level 1: coefficients={c.n_rows}; penalty terms={len(terms)}"
     )
 
     win = (f.values, f.base, f.rel, f.digits)
@@ -62,6 +65,7 @@ def main():
         "scatter_squares": lambda: kernels.scatter_squares(*win, np.zeros(f.n_rows)),
         "gram_matvec": lambda: kernels.gram_matvec(*win, x_rows, np.zeros(f.n_rows)),
         "dense_gram": lambda: kernels.dense_gram(c.values, c.base, c.rel, c.digits, c.n_rows),
+        "kron_matvec": lambda: [kron_matvec(t.factors, x_rows) for t in terms],
     }
     print(f"{'kernel':<16} {'time [ms]':>12}")
     for name, run in runs.items():

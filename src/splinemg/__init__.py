@@ -5,7 +5,6 @@ from .bsplines import (
     BandedSymmetricMatrix,
     BasisActivation,
     SplineSpace1D,
-    SubdivisionMatrix,
     build_space,
     eval_basis,
     eval_basis_batch,
@@ -63,7 +62,6 @@ __all__ = [
     "SolverConfig",
     "SplinemgError",
     "SplineSpace1D",
-    "SubdivisionMatrix",
     "build_hierarchy",
     "build_level",
     "build_space",

@@ -193,7 +193,7 @@ def iteration_matrix(
     c = np.zeros((dense[0].shape[0], dense[0].shape[0]))
     for gg in range(2, g + 1):
         a = dense[gg - 1]
-        prolong = reduce(np.kron, hier.transfers[gg - 2])
+        prolong = reduce(np.kron, [f.toarray() for f in hier.transfers[gg - 2]])
         coarse_correction = np.eye(a.shape[0]) - prolong @ (
             (np.eye(prolong.shape[1]) - c) @ np.linalg.solve(dense[gg - 2], prolong.T @ a)
         )

@@ -5,7 +5,9 @@ A 1D space of degree ``q`` at refinement level ``g`` lives on ``[a, b]`` with
 knots beyond each end, so that every basis function is a translate of the
 cardinal B-spline and the dyadic two-scale relation holds exactly.  The module
 provides basis/derivative evaluation, Gram matrices of derivatives, and the
-refinement (subdivision) matrix between consecutive levels.
+refinement (subdivision) matrix between consecutive levels.  Both matrices
+are banded and are handed to the solver as CSR matrices built from their
+bands, O(dim * degree) entries each.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DomainError, ParameterError
 
@@ -201,8 +204,20 @@ class BandedSymmetricMatrix:
     bandwidth: int
     bands: np.ndarray
 
+    def tocsr(self) -> scipy.sparse.csr_array:
+        """CSR matrix with the ``2 * bandwidth + 1`` diagonals (clipped at the
+        corners) stored row by row in column order."""
+        q = self.bandwidth
+        rows = np.repeat(np.arange(self.dim), 2 * q + 1)
+        cols = rows + np.tile(np.arange(-q, q + 1), self.dim)
+        keep = (cols >= 0) & (cols < self.dim)
+        rows, cols = rows[keep], cols[keep]
+        data = self.bands[np.abs(cols - rows), np.minimum(rows, cols)]
+        indptr = np.searchsorted(rows, np.arange(self.dim + 1))
+        return scipy.sparse.csr_array((data, cols, indptr), shape=(self.dim, self.dim))
+
     def toarray(self) -> np.ndarray:
-        """Densify to a ``dim x dim`` symmetric array."""
+        """Densify to a ``dim x dim`` symmetric array (tests and diagnostics)."""
         a = np.zeros((self.dim, self.dim))
         for d in range(self.bandwidth + 1):
             idx = np.arange(self.dim - d)
@@ -242,9 +257,9 @@ def gram_matrix(space: SplineSpace1D, deriv: int) -> BandedSymmetricMatrix:
     return BandedSymmetricMatrix(dim=space.dim, bandwidth=q, bands=bands)
 
 
-@dataclass(frozen=True)
-class SubdivisionMatrix:
-    """Two-scale refinement matrix between consecutive dyadic levels.
+def subdivision_matrix(coarse: SplineSpace1D, fine: SplineSpace1D) -> scipy.sparse.csr_array:
+    """Two-scale refinement matrix from ``coarse`` (level g) to ``fine``
+    (level g+1), as a ``fine.dim x coarse.dim`` CSR matrix.
 
     Maps coarse-level coefficients to fine-level coefficients of the same
     spline.  Column ``j`` carries the binomial weights
@@ -252,22 +267,6 @@ class SubdivisionMatrix:
     rows falling outside the fine index range are dropped, which is exact
     because the corresponding fine basis functions vanish on ``[a, b]``.
     """
-
-    fine_dim: int
-    coarse_dim: int
-    degree: int
-    array: np.ndarray
-
-    @property
-    def shape(self):
-        return (self.fine_dim, self.coarse_dim)
-
-    def toarray(self) -> np.ndarray:
-        return self.array.copy()
-
-
-def subdivision_matrix(coarse: SplineSpace1D, fine: SplineSpace1D) -> SubdivisionMatrix:
-    """Refinement matrix from ``coarse`` (level g) to ``fine`` (level g+1)."""
     if coarse.degree != fine.degree:
         raise ParameterError("subdivision requires equal degrees")
     if (coarse.lower, coarse.upper) != (fine.lower, fine.upper):
@@ -277,14 +276,17 @@ def subdivision_matrix(coarse: SplineSpace1D, fine: SplineSpace1D) -> Subdivisio
             f"fine level must be coarse level + 1, got {coarse.level} -> {fine.level}"
         )
     q = coarse.degree
-    scale = 0.5**q
-    arr = np.zeros((fine.dim, coarse.dim))
-    for j in range(coarse.dim):
-        for k in range(q + 2):
-            i = 2 * j + k - q
-            if 0 <= i < fine.dim:
-                arr[i, j] = comb(q + 1, k) * scale
-    return SubdivisionMatrix(fine_dim=fine.dim, coarse_dim=coarse.dim, degree=q, array=arr)
+    weights = np.array([comb(q + 1, k) for k in range(q + 2)]) * 0.5**q
+    # fine row i couples to coarse column j = (i + q - k) / 2 for every k of
+    # the parity of i + q; list those k in descending order so that the
+    # columns of each row come out ascending
+    rows = np.repeat(np.arange(fine.dim), q + 2)
+    k = np.tile(np.arange(q + 1, -1, -1), fine.dim)
+    cols2 = rows + q - k
+    keep = (cols2 % 2 == 0) & (cols2 >= 0) & (cols2 < 2 * coarse.dim)
+    rows, cols, data = rows[keep], cols2[keep] // 2, weights[k[keep]]
+    indptr = np.searchsorted(rows, np.arange(fine.dim + 1))
+    return scipy.sparse.csr_array((data, cols, indptr), shape=(fine.dim, coarse.dim))
 
 
 def greville_points(space: SplineSpace1D) -> np.ndarray:

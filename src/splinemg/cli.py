@@ -44,7 +44,7 @@ from .errors import (
 )
 from .multigrid import build_hierarchy
 from .solvers import SolverConfig, cg_solve, mgcg_solve
-from .system import DENSE_CAP, ScatteredDataset, design_factors
+from .system import DENSE_CAP, ScatteredDataset, design_factors, normalize_degrees
 from .tensorops import khatri_rao_tmatvec
 
 EXIT_OK = 0
@@ -98,8 +98,7 @@ class RunConfig:
             raise ParameterError(f"--levels must be >= 1, got {self.levels}")
         if self.lam <= 0:
             raise ParameterError(f"--lambda must be positive, got {self.lam}")
-        if not 1 <= self.degree <= 5:
-            raise ParameterError(f"--degree must be in 1..5, got {self.degree}")
+        normalize_degrees(self.degree, self.dim)
         if not 0 < self.tol < 1:
             raise ParameterError(f"--tol must be in (0, 1), got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
@@ -124,7 +123,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--levels", type=int, default=_env("LEVELS", int, 5), help="finest grid level G")
     parser.add_argument("--lambda", dest="lam", type=float, default=_env("LAMBDA", float, 1.0),
                         help="smoothing parameter")
-    parser.add_argument("--degree", type=int, default=_env("DEGREE", int, 3), help="spline degree (1..5)")
+    parser.add_argument("--degree", type=int, default=_env("DEGREE", int, 3), help="spline degree (2..5)")
     parser.add_argument("--tol", type=float, default=_env("TOL", float, 1e-8),
                         help="relative residual tolerance")
     parser.add_argument("--max-iter", type=int, default=None, help="iteration cap (default 10*sqrt(K))")
@@ -280,6 +279,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "iterations": report_solve.iterations,
             "converged": bool(report_solve.converged),
             "final_relative_residual": report_solve.final_relative_residual,
+            "true_relative_residual": report_solve.true_relative_residual,
             "residual_history": report_solve.residual_history.tolist(),
             "wall_time_seconds": report_solve.wall_time,
         },

@@ -14,7 +14,7 @@ import scipy.linalg
 from .bsplines import subdivision_matrix
 from .errors import CapacityError, NumericError, ParameterError, ShapeError
 from .system import DENSE_CAP, LevelOperator, ScatteredDataset, build_level
-from .tensorops import kron_matvec, kron_matvec_transposed
+from .tensorops import kron_matvec, kron_matvec_transposed, stored_size
 
 
 class Hierarchy:
@@ -24,7 +24,7 @@ class Hierarchy:
     ----------
     levels : list of LevelOperator
         ``levels[g - 1]`` is the operator on level ``g``.
-    transfers : list of tuple of ndarray
+    transfers : list of tuple of scipy.sparse.csr_array
         ``transfers[g - 1]`` holds the per-axis refinement factors from level
         ``g`` to ``g + 1`` (fine-dim x coarse-dim each).
     nu1, nu2 : int
@@ -63,9 +63,10 @@ class Hierarchy:
         return self.levels[g - 1]
 
     def memory_reals(self) -> int:
-        """Float64 count of all stored hierarchy data."""
+        """Count of all stored hierarchy numbers (values and indices, each
+        counted as one float64 slot)."""
         count = sum(op.memory_reals() for op in self.levels)
-        count += sum(f.size for axis_factors in self.transfers for f in axis_factors)
+        count += sum(stored_size(f) for axis_factors in self.transfers for f in axis_factors)
         if self._coarse_factor is not None:
             count += self._coarse_factor[0].size
         return int(count)
@@ -106,7 +107,7 @@ def build_hierarchy(
     levels = [build_level(dataset, g, lam, degrees) for g in range(1, num_levels + 1)]
     transfers = [
         tuple(
-            np.ascontiguousarray(subdivision_matrix(cs, fs).array)
+            subdivision_matrix(cs, fs)
             for cs, fs in zip(levels[i].spaces, levels[i + 1].spaces)
         )
         for i in range(num_levels - 1)

@@ -50,7 +50,13 @@ class SolverConfig:
 class SolveReport:
     """Outcome of one solve: iterate count, recorded two-norm residuals,
     timing, an analytic estimate of auxiliary solver memory, and the
-    coefficient vector."""
+    coefficient vector.
+
+    ``residual_history`` holds CG's recursively updated residuals, which
+    decide convergence; ``true_relative_residual`` is ``||b - A x|| / ||b||``
+    recomputed once from the returned coefficients.  The two drift apart
+    when the tolerance lies below the rounding floor of ``A x``.
+    """
 
     iterations: int
     residual_history: np.ndarray
@@ -58,6 +64,7 @@ class SolveReport:
     peak_auxiliary_memory_estimate: int
     converged: bool
     coefficients: np.ndarray
+    true_relative_residual: float
     label: str = field(default="cg")
 
     @property
@@ -84,6 +91,7 @@ def _pcg(apply_fn, b, precond, tol, maxiter, aux_reals, label):
             peak_auxiliary_memory_estimate=(aux_reals + 4 * b.size) * 8,
             converged=True,
             coefficients=x,
+            true_relative_residual=0.0,
             label=label,
         )
     r = b.copy()
@@ -116,6 +124,7 @@ def _pcg(apply_fn, b, precond, tol, maxiter, aux_reals, label):
         p = z + (rz_new / rz) * p
         rz = rz_new
     n_vec = 4 if precond is None else 5
+    true_residual = float(np.linalg.norm(b - apply_fn(x))) / norm_b
     return SolveReport(
         iterations=k,
         residual_history=np.array(history),
@@ -123,6 +132,7 @@ def _pcg(apply_fn, b, precond, tol, maxiter, aux_reals, label):
         peak_auxiliary_memory_estimate=(aux_reals + n_vec * b.size) * 8,
         converged=converged,
         coefficients=x,
+        true_relative_residual=true_residual,
         label=label,
     )
 

@@ -16,7 +16,7 @@ from math import factorial, prod
 import numpy as np
 
 from . import kernels
-from .bsplines import build_space, eval_basis_batch, gram_matrix
+from .bsplines import MAX_DEGREE, build_space, eval_basis_batch, gram_matrix
 from .errors import CapacityError, DomainError, ParameterError, ShapeError
 from .tensorops import (
     KhatriRaoFactors,
@@ -26,6 +26,7 @@ from .tensorops import (
     khatri_rao_tmatvec,
     kron_diagonal,
     kron_matvec,
+    stored_size,
 )
 
 DENSE_CAP = 20_000
@@ -89,7 +90,7 @@ class ScatteredDataset:
 @dataclass(frozen=True)
 class PenaltyTerm:
     """One second-order roughness term: derivative orders per axis, its
-    multinomial weight, and the per-axis Gram factors (dense)."""
+    multinomial weight, and the per-axis Gram factors (CSR, banded)."""
 
     orders: tuple
     weight: float
@@ -107,7 +108,7 @@ def penalty_terms(spaces) -> list[PenaltyTerm]:
 
     def gram(p, r):
         if (p, r) not in grams:
-            grams[(p, r)] = np.ascontiguousarray(gram_matrix(spaces[p], r).toarray())
+            grams[(p, r)] = gram_matrix(spaces[p], r).tocsr()
         return grams[(p, r)]
 
     terms = []
@@ -123,17 +124,20 @@ def penalty_terms(spaces) -> list[PenaltyTerm]:
     return terms
 
 
-def _normalize_degrees(degrees, num_axes) -> tuple:
+def normalize_degrees(degrees, num_axes) -> tuple:
+    """Per-axis spline degrees, each in ``2..MAX_DEGREE``."""
     if np.isscalar(degrees):
         degrees = (int(degrees),) * num_axes
     else:
         degrees = tuple(int(q) for q in degrees)
     if len(degrees) != num_axes:
         raise ParameterError(f"need {num_axes} degrees, got {len(degrees)}")
-    if min(degrees) < 2:
+    if min(degrees) < 2 or max(degrees) > MAX_DEGREE:
         # second-derivative Gram factors require square-integrable second
         # derivatives, so linear splines cannot carry the penalty
-        raise ParameterError(f"smoothing requires degrees >= 2, got {degrees}")
+        raise ParameterError(
+            f"smoothing requires degrees in 2..{MAX_DEGREE}, got {degrees}"
+        )
     return degrees
 
 
@@ -160,7 +164,7 @@ class LevelOperator:
     def __init__(self, dataset: ScatteredDataset, level: int, lam: float, degrees=3):
         if lam <= 0:
             raise ParameterError(f"smoothing parameter must be positive, got {lam}")
-        degrees = _normalize_degrees(degrees, dataset.num_axes)
+        degrees = normalize_degrees(degrees, dataset.num_axes)
         self.dataset = dataset
         self.level = int(level)
         self.lam = float(lam)
@@ -239,7 +243,8 @@ class LevelOperator:
         return ls, rough
 
     def assemble_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        """Densify the operator (guarded by ``cap``; diagnostics only)."""
+        """Densify the operator (guarded by ``cap``; the coarse Cholesky
+        factor and diagnostics only)."""
         if self.size > cap:
             raise CapacityError(
                 f"dense assembly of a {self.size}x{self.size} operator exceeds cap {cap}"
@@ -247,16 +252,17 @@ class LevelOperator:
         f = self.design
         a = kernels.dense_gram(f.values, f.base, f.rel, f.digits, self.size)
         for term in self.penalty:
-            a += (self.lam * term.weight) * reduce(np.kron, term.factors)
+            a += (self.lam * term.weight) * reduce(np.kron, [g.toarray() for g in term.factors])
         return a
 
     def memory_reals(self) -> int:
-        """Float64 count of the stored operator data (design windows,
-        penalty factors, cached diagonal and index helpers)."""
+        """Count of the stored operator numbers, each counted as one float64
+        slot: design windows, penalty factors (values and CSR indices),
+        cached diagonal and index helpers."""
         f = self.design
         count = f.values.size + f.offsets.size + f.base.size
         count += f.rel.size + f.digits.size
-        count += sum(g.size for t in self.penalty for g in t.factors)
+        count += sum(stored_size(g) for t in self.penalty for g in t.factors)
         count += self.size  # cached diagonal
         return int(count)
 

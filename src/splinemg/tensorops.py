@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
+import scipy.sparse
 
 from . import kernels
 from .errors import ShapeError
@@ -18,10 +19,17 @@ from .errors import ShapeError
 LINEARIZATION = "first-factor-slowest"  # C-order flattening
 
 
-def _as_matrix(a) -> np.ndarray:
-    m = np.ascontiguousarray(getattr(a, "array", a), dtype=np.float64)
-    if hasattr(a, "toarray") and m.ndim != 2:
-        m = np.ascontiguousarray(a.toarray(), dtype=np.float64)
+def _as_matrix(a):
+    """A Kronecker factor as a scipy sparse matrix (kept as is) or a float64
+    ndarray (no copy when it already is one, so transposed views stay
+    views)."""
+    if scipy.sparse.issparse(a):
+        m = a
+    else:
+        try:
+            m = np.asarray(a, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"factor must be an array or a sparse matrix: {exc}") from exc
     if m.ndim != 2:
         raise ShapeError(f"factor must be 2-dimensional, got shape {m.shape}")
     return m
@@ -33,8 +41,11 @@ def kron_matvec(factors, x: np.ndarray) -> np.ndarray:
     Processes factors from last to first; before step ``p`` the work vector
     is a ``(l_p, n_p, r_p)`` tensor with ``l_p`` the product of unprocessed
     leading input dims and ``r_p`` the product of processed trailing output
-    dims, and step ``p`` contracts ``A_p`` over the middle axis.  Peak
-    scratch is two work buffers; the product matrix is never formed.
+    dims, and step ``p`` contracts ``A_p`` over the middle axis.  A dense
+    factor is applied by a batched ``matmul``; a sparse one by a single
+    sparse product with the middle axis moved to the front.  Peak scratch is
+    two work buffers (dense factor) or three (sparse factor); the product
+    matrix is never formed.
     """
     mats = [_as_matrix(a) for a in factors]
     n_in = prod(m.shape[1] for m in mats)
@@ -43,9 +54,15 @@ def kron_matvec(factors, x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected vector of length {n_in}, got shape {np.shape(x)}")
     r = 1
     for p in range(len(mats) - 1, -1, -1):
-        m_p, n_p = mats[p].shape
+        a = mats[p]
+        m_p, n_p = a.shape
         lead = v.size // (n_p * r)
-        v = np.matmul(mats[p], v.reshape(lead, n_p, r)).reshape(-1)
+        if not scipy.sparse.issparse(a):
+            v = np.matmul(a, v.reshape(lead, n_p, r)).reshape(-1)
+        else:  # both transposes are free views when lead == 1
+            w = v.reshape(lead, n_p, r).transpose(1, 0, 2).reshape(n_p, lead * r)
+            v = a @ w  # rebinding frees the previous work vector early
+            v = v.reshape(m_p, lead, r).transpose(1, 0, 2).reshape(-1)
         r *= m_p
     return v
 
@@ -54,7 +71,7 @@ def kron_matvec_transposed(factors, y: np.ndarray) -> np.ndarray:
     """Product of the transposed Kronecker matrix with a vector.
 
     Uses that transposition distributes over the Kronecker product, so this
-    is `kron_matvec` with each factor transposed.
+    is `kron_matvec` with each factor transposed (views, never copies).
     """
     return kron_matvec([_as_matrix(a).T for a in factors], y)
 
@@ -67,9 +84,15 @@ def kron_diagonal(factors) -> np.ndarray:
         m = _as_matrix(a)
         if m.shape[0] != m.shape[1]:
             raise ShapeError("diagonal requires square factors")
-        d = np.diagonal(m)
+        d = m.diagonal()
         diag = d if diag is None else np.multiply.outer(diag, d)
     return np.ravel(diag)
+
+
+def stored_size(factor) -> int:
+    """Count of stored numbers of a compressed sparse factor: values, indices
+    and index pointers."""
+    return int(factor.data.size + factor.indices.size + factor.indptr.size)
 
 
 @dataclass

@@ -54,7 +54,9 @@ def quad_gram_entry(space, j, l, deriv):
 
 
 def dense_kron(factors):
-    return reduce(np.kron, [np.asarray(f, dtype=np.float64) for f in factors])
+    """Explicit Kronecker product; sparse factors are densified first."""
+    mats = [f.toarray() if hasattr(f, "toarray") else f for f in factors]
+    return reduce(np.kron, [np.asarray(m, dtype=np.float64) for m in mats])
 
 
 def dense_khatri_rao(factors):

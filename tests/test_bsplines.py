@@ -1,6 +1,9 @@
+from math import comb
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +148,17 @@ class TestGramMatrix:
             floor = -1e-12 * max(1.0, np.abs(dense).max())
             assert np.linalg.eigvalsh(dense).min() >= floor
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5])
+    def test_csr_holds_the_bands(self, degree):
+        for level in (1, 4):
+            sp = build_space(0.0, 1.0, level, degree)
+            for deriv in range(degree + 1):
+                g = gram_matrix(sp, deriv)
+                csr = g.tocsr()
+                assert scipy.sparse.issparse(csr) and csr.has_canonical_format
+                assert csr.nnz <= (2 * degree + 1) * sp.dim
+                npt.assert_array_equal(csr.toarray(), g.toarray())
+
     def test_rejects_order_above_degree(self):
         with pytest.raises(ParameterError):
             gram_matrix(build_space(0.0, 1.0, 2, 2), 3)
@@ -153,7 +167,7 @@ class TestGramMatrix:
 class TestSubdivision:
     def test_cubic_weight_pattern(self):
         coarse, fine = build_space(0.0, 1.0, 3, 3), build_space(0.0, 1.0, 4, 3)
-        arr = subdivision_matrix(coarse, fine).array
+        arr = subdivision_matrix(coarse, fine).toarray()
         j = coarse.dim // 2  # interior column, full pattern
         col = arr[:, j]
         nz = np.flatnonzero(col)
@@ -161,14 +175,30 @@ class TestSubdivision:
 
     def test_linear_weight_pattern(self):
         coarse, fine = build_space(0.0, 1.0, 3, 1), build_space(0.0, 1.0, 4, 1)
-        arr = subdivision_matrix(coarse, fine).array
+        arr = subdivision_matrix(coarse, fine).toarray()
         col = arr[:, coarse.dim // 2]
         npt.assert_allclose(col[np.flatnonzero(col)], np.array([1, 2, 1]) / 2)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_csr_equals_binomial_pattern(self, degree):
+        for level in (1, 2, 5):
+            coarse = build_space(0.0, 1.0, level, degree)
+            fine = build_space(0.0, 1.0, level + 1, degree)
+            sub = subdivision_matrix(coarse, fine)
+            ref = np.zeros((fine.dim, coarse.dim))
+            for j in range(coarse.dim):
+                for k in range(degree + 2):
+                    if 0 <= 2 * j + k - degree < fine.dim:
+                        ref[2 * j + k - degree, j] = comb(degree + 1, k) / 2**degree
+            assert scipy.sparse.issparse(sub) and sub.has_canonical_format
+            assert sub.shape == (fine.dim, coarse.dim)
+            assert sub.nnz == np.count_nonzero(ref)
+            npt.assert_array_equal(sub.toarray(), ref)
 
     def test_interior_columns_sum_to_two_and_rows_to_one(self):
         for q in (1, 2, 3, 4, 5):
             coarse, fine = build_space(0.0, 1.0, 2, q), build_space(0.0, 1.0, 3, q)
-            arr = subdivision_matrix(coarse, fine).array
+            arr = subdivision_matrix(coarse, fine).toarray()
             sums = arr.sum(axis=0)
             interior = (np.arange(coarse.dim) * 2 - q >= 0) & (
                 np.arange(coarse.dim) * 2 + 1 < fine.dim
@@ -188,7 +218,7 @@ class TestSubdivision:
         sub = subdivision_matrix(coarse, fine)
         gen = np.random.default_rng(seed)
         alpha = gen.standard_normal(coarse.dim)
-        beta = sub.array @ alpha
+        beta = sub.toarray() @ alpha
         x = gen.random(50)
         s_coarse = dense_basis_matrix(coarse, x) @ alpha
         s_fine = dense_basis_matrix(fine, x) @ beta

@@ -57,6 +57,7 @@ class TestFit:
         report = json.loads((fit_dir / "report.json").read_text())
         assert report["solver"]["converged"] is True
         assert report["solver"]["method"] == "mgcg"
+        assert 0.0 <= report["solver"]["true_relative_residual"] <= 1e-6
         assert report["memory"]["hierarchy_bytes"] > 0
         assert len(report["scaling"]) == 2
 
@@ -127,6 +128,21 @@ class TestFit:
     def test_config_exit_code(self, tmp_path):
         code = run(["fit", *BASE_FIT[:-4], "--lambda", "-1", "--output", tmp_path / "c"])
         assert code == cli.EXIT_CONFIG
+
+    def test_linear_degree_rejected_before_data_work(self, tmp_path, monkeypatch, capsys):
+        def no_data(cfg):
+            raise AssertionError("data loaded before the degree check")
+
+        monkeypatch.setattr(cli, "_load_points", no_data)
+        code = run(["fit", *BASE_FIT, "--degree", 1, "--output", tmp_path / "d"])
+        assert code == cli.EXIT_CONFIG
+        assert "smoothing requires degrees in 2..5" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_help_states_degree_range(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["fit", "--help"])
+        assert "spline degree (2..5)" in capsys.readouterr().out
 
     def test_plain_cg_precond_none(self, tmp_path):
         out = tmp_path / "plain"

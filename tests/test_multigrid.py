@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 
 from splinemg import (
     ParameterError,
@@ -11,6 +14,8 @@ from splinemg import (
     transfer,
     v_cycle,
 )
+from splinemg.solvers import mgcg_solve
+from splinemg.tensorops import stored_size
 from conftest import make_dataset
 from oracles import DenseOperator, dense_kron
 
@@ -24,6 +29,22 @@ class TestBuildHierarchy:
     def test_level_dimensions(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 5, 1.0)
         assert [op.size for op in hier.levels] == [25, 49, 121, 361, 1225]
+
+    def test_factors_are_stored_sparse(self):
+        # P=1, G=12: dense 1D factors would hold about 2 * sum(dim_g**2)
+        # numbers and a 4099 x 4099 Gram on the finest level alone
+        data = make_dataset(1, 2000, seed=11)
+        tracemalloc.start()
+        hier = build_hierarchy(data, 12, 1.0)
+        mgcg_solve(hier)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        dims = [op.size for op in hier.levels]
+        factors = [f for op in hier.levels for t in op.penalty for f in t.factors]
+        factors += [f for axis_factors in hier.transfers for f in axis_factors]
+        assert all(scipy.sparse.issparse(f) for f in factors)
+        assert sum(stored_size(f) for f in factors) < 32 * sum(dims)
+        assert peak < dims[-1] ** 2  # bytes: an eighth of one dense finest factor
 
     def test_transfer_shapes_chain(self, hier_2d):
         for i, factors in enumerate(hier_2d.transfers):

@@ -83,6 +83,30 @@ class TestPlainCg:
         assert err.value.iteration == 0
 
 
+class TestTrueResidual:
+    @pytest.mark.parametrize("precond,levels", [("none", 5), ("mg-jacobi", 5), ("mg-jacobi", 9)])
+    def test_matches_dense_recomputation(self, precond, levels, small_dataset_1d):
+        hier = build_hierarchy(small_dataset_1d, levels, 1.0)
+        op = hier.finest
+        cfg = SolverConfig(tolerance=1e-8, max_iterations=1000, preconditioner=precond)
+        rep = (cg_solve(op, op.rhs(), cfg) if precond == "none"
+               else mgcg_solve(hier, cfg=cfg))
+        assert rep.converged
+        a, b, x = op.assemble_dense(), op.rhs(), rep.coefficients
+        ref = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+        # both sides round A x; they may differ by its rounding floor
+        floor = np.finfo(float).eps * np.linalg.norm(np.abs(a) @ np.abs(x)) / np.linalg.norm(b)
+        assert abs(rep.true_relative_residual - ref) <= floor
+        if levels == 9:
+            # penalty entries reach 3.6e8: the recursive residual drifts far
+            # below the true one, which only the recomputation shows
+            assert rep.true_relative_residual > 10 * rep.final_relative_residual
+
+    def test_zero_rhs(self, small_dataset_1d):
+        op = build_level(small_dataset_1d, 3, 1.0)
+        assert cg_solve(op, np.zeros(op.size)).true_relative_residual == 0.0
+
+
 class TestMgcg:
     def test_agrees_with_plain_cg(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 4, 1.0)

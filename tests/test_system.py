@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 
 from splinemg import (
     CapacityError,
@@ -9,6 +10,8 @@ from splinemg import (
     ScatteredDataset,
     ShapeError,
     build_level,
+    build_space,
+    gram_matrix,
     greville_points,
     penalty_terms,
 )
@@ -36,6 +39,14 @@ class TestConstruction:
     def test_penalty_term_count_3d(self):
         terms = penalty_terms(build_level(make_dataset(3, 20, seed=1), 1, 1.0).spaces)
         assert len(terms) == 3 + 3  # pure plus mixed pairs
+
+    def test_penalty_factors_are_csr_grams(self):
+        spaces = tuple(build_space(0.0, 1.0, 3, q) for q in (3, 2, 4))
+        terms = penalty_terms(spaces)
+        for term in terms:
+            for space, order, factor in zip(spaces, term.orders, term.factors):
+                assert isinstance(factor, scipy.sparse.csr_array)
+                npt.assert_array_equal(factor.toarray(), gram_matrix(space, order).toarray())
 
     def test_rejects_nonpositive_lambda(self, small_dataset_2d):
         with pytest.raises(ParameterError):

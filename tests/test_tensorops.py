@@ -3,12 +3,15 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinemg import (
     KhatriRaoFactors,
     ShapeError,
+    build_space,
+    gram_matrix,
     khatri_rao_gram_diag,
     khatri_rao_gram_matvec,
     khatri_rao_matvec,
@@ -16,6 +19,7 @@ from splinemg import (
     kron_diagonal,
     kron_matvec,
     kron_matvec_transposed,
+    subdivision_matrix,
 )
 from splinemg import kernels
 from oracles import dense_khatri_rao, dense_kron
@@ -120,6 +124,76 @@ class TestKronMatvec:
         buf = 20**3 * 8
         assert peak <= 2 * buf + 65536  # two buffers plus small overhead
         assert peak < (20**3) ** 2 * 8 / 100  # nowhere near the dense product
+
+
+def random_mixed_factors(gen, max_axes=4, max_dim=6):
+    """Random factors, each dense, CSR with random zeros, or a rectangular
+    refinement matrix between two spline levels."""
+    factors = []
+    for _ in range(int(gen.integers(1, max_axes + 1))):
+        kind = gen.integers(0, 3)
+        if kind == 2:
+            q, g = int(gen.integers(1, 6)), int(gen.integers(1, 3))
+            factors.append(subdivision_matrix(build_space(0.0, 1.0, g, q),
+                                              build_space(0.0, 1.0, g + 1, q)))
+            continue
+        m = gen.standard_normal((gen.integers(1, max_dim + 1), gen.integers(1, max_dim + 1)))
+        if kind == 1:
+            m[gen.random(m.shape) < 0.5] = 0.0
+            m = scipy.sparse.csr_array(m)
+        factors.append(m)
+    return factors
+
+
+class TestSparseFactors:
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_factors_match_dense_oracle(self, seed):
+        gen = np.random.default_rng(seed)
+        factors = random_mixed_factors(gen)
+        dense = dense_kron(factors)
+        x = gen.standard_normal(dense.shape[1])
+        y = gen.standard_normal(dense.shape[0])
+        scale = max(1.0, np.abs(dense).max())
+        npt.assert_allclose(kron_matvec(factors, x), dense @ x, atol=1e-12 * scale)
+        npt.assert_allclose(kron_matvec_transposed(factors, y), dense.T @ y, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("layout", ["csr", "dense", "mixed"])
+    def test_refinement_factors_in_every_layout(self, layout, rng):
+        subs = [subdivision_matrix(build_space(0.0, 1.0, 2, q), build_space(0.0, 1.0, 3, q))
+                for q in (3, 2, 4)]
+        if layout == "dense":
+            subs = [s.toarray() for s in subs]
+        elif layout == "mixed":
+            subs[1] = subs[1].toarray()
+        dense = dense_kron(subs)
+        x = rng.standard_normal(dense.shape[1])
+        y = rng.standard_normal(dense.shape[0])
+        npt.assert_allclose(kron_matvec(subs, x), dense @ x, atol=1e-13)
+        npt.assert_allclose(kron_matvec_transposed(subs, y), dense.T @ y, atol=1e-13)
+
+    def test_diagonal_of_sparse_gram_factors(self):
+        grams = [gram_matrix(build_space(0.0, 1.0, 2, q), r).tocsr() for q, r in ((3, 2), (2, 0))]
+        npt.assert_array_equal(kron_diagonal(grams), np.diag(dense_kron(grams)))
+
+    def test_banded_storage_is_not_densified(self):
+        g = gram_matrix(build_space(0.0, 1.0, 2, 3), 2)
+        with pytest.raises(ShapeError):
+            kron_matvec([g], np.ones(g.dim))
+        with pytest.raises(ShapeError):
+            kron_diagonal([g])
+
+    def test_peak_scratch_stays_vector_sized(self, rng):
+        factors = [gram_matrix(build_space(0.0, 1.0, 5, 3), 2).tocsr() for _ in range(3)]
+        n = factors[0].shape[0] ** 3
+        x = rng.standard_normal(n)
+        kron_matvec(factors, x)  # warm-up
+        tracemalloc.start()
+        kron_matvec(factors, x)
+        kron_matvec_transposed(factors, x)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 3 * n * 8 + 65536  # three work buffers, never the product
 
 
 class TestKronDiagonal:
