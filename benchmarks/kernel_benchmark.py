@@ -1,32 +1,37 @@
 #!/usr/bin/env python3
-"""Throughput of the window kernels, the dense level assembly and the
-penalty Kronecker products.
+"""Throughput of the window kernels, the level assemblies and the penalty
+Kronecker products.
 
 Times the four window kernels (scatter, gather, squared scatter, fused
-normal product), the dense Gram assembly behind
-``LevelOperator.assemble_dense`` and one application of every penalty term
-(``kron_matvec`` over the sparse 1D Gram factors of ``penalty_terms``) on a
-synthetic smoothing workload, and prints one table row per kernel.  Useful
-for spotting regressions in the kernel path in isolation.
+normal product), the dense Gram assembly behind the matrix-free
+``LevelOperator.assemble_dense``, one application of every penalty term
+(``kron_matvec`` over the sparse 1D Gram factors of ``penalty_terms``), the
+window-to-CSR assembly of a level (``LevelOperator.assemble``) and one
+product with the assembled CSR level, on a synthetic smoothing workload, and
+prints one table row per kernel.  Useful for spotting regressions in the
+kernel path in isolation.
 
     python3 benchmarks/kernel_benchmark.py [--n 200000] [--dim 3] [--level 5]
 
-The dense assembly runs on level 1, the coarse level that the multigrid
-hierarchy factorizes.
+The dense assembly runs on level 1; every other row runs at ``--level``.
+The CSR level holds about ``(2^level * (2q + 1))^dim`` numbers (150 MB at
+the defaults), so lower ``--level`` on small machines.
 """
 import argparse
+import copy
 import time
 
 import numpy as np
 
-from splinemg import build_space, kernels, kron_matvec, penalty_terms
-from splinemg.system import design_factors
+from splinemg import LevelOperator, ScatteredDataset, kernels, kron_matvec
 
 
-def make_factors(n, dim, level, degree=3, seed=0):
+def make_level(n, dim, level, degree=3, seed=0):
+    """Matrix-free operator of one level on uniform points with normal
+    responses."""
     gen = np.random.default_rng(seed)
-    spaces = tuple(build_space(0.0, 1.0, level, degree) for _ in range(dim))
-    return design_factors(spaces, gen.random((n, dim)))
+    data = ScatteredDataset(gen.random((n, dim)), gen.standard_normal(n))
+    return LevelOperator(data, level, 1.0, degree)
 
 
 def bench(fn, repeats):
@@ -46,16 +51,17 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    f = make_factors(args.n, args.dim, args.level)
-    c = make_factors(args.n, args.dim, 1)
-    terms = penalty_terms(tuple(build_space(0.0, 1.0, args.level, 3) for _ in range(args.dim)))
+    op = make_level(args.n, args.dim, args.level)
+    f, c, terms = op.design, make_level(args.n, args.dim, 1).design, op.penalty
+    assembled = copy.copy(op).assemble()
     gen = np.random.default_rng(1)
     x_cols = gen.standard_normal(f.n_cols)
     x_rows = gen.standard_normal(f.n_rows)
     print(
         f"workload: n={args.n}, dim={args.dim}, level={args.level}, "
         f"coefficients={f.n_rows}, window={f.rel.shape[0]}; "
-        f"dense level 1: coefficients={c.n_rows}; penalty terms={len(terms)}"
+        f"dense level 1: coefficients={c.n_rows}; penalty terms={len(terms)}; "
+        f"CSR nonzeros={assembled.matrix.nnz}"
     )
 
     win = (f.values, f.base, f.rel, f.digits)
@@ -66,6 +72,8 @@ def main():
         "gram_matvec": lambda: kernels.gram_matvec(*win, x_rows, np.zeros(f.n_rows)),
         "dense_gram": lambda: kernels.dense_gram(c.values, c.base, c.rel, c.digits, c.n_rows),
         "kron_matvec": lambda: [kron_matvec(t.factors, x_rows) for t in terms],
+        "assemble": lambda: copy.copy(op).assemble(),  # the copy keeps `op` matrix-free
+        "csr_apply": lambda: assembled.apply(x_rows),
     }
     print(f"{'kernel':<16} {'time [ms]':>12}")
     for name, run in runs.items():

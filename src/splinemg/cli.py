@@ -7,7 +7,8 @@ coordinate columns followed by one response column; ``#`` comments and an
 optional header line are skipped.  A fit writes into its output directory:
 
 * ``report.json``     -- config echo, per-axis scaling maps, spline-space
-  layout, solver statistics and memory estimates (key/value JSON),
+  layout, per-level storage (``hierarchy.levels``), solver statistics and
+  memory estimates (key/value JSON),
 * ``coefficients.txt``-- one coefficient per line, ``%.17e`` (byte-stable),
 * ``residuals.txt``   -- training coordinates and response residuals,
 * ``grid.txt``        -- optional prediction grid (``--grid N`` points/axis).
@@ -88,7 +89,6 @@ class RunConfig:
     input: str | None = None
     output: str | None = None
     grid: int = 0
-    deterministic: bool = False
     dense_cap: int = DENSE_CAP
 
     def validate(self) -> "RunConfig":
@@ -136,8 +136,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=_env("N", int, 100_000), help="generated sample count")
     parser.add_argument("--noise", type=float, default=_env("NOISE", float, 0.1),
                         help="generated noise std deviation")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="require bit-reproducible sequential kernels (always satisfied)")
     parser.add_argument("--dense-cap", type=int, default=_env("DENSE_CAP", int, DENSE_CAP),
                         help="largest dimension assembled densely")
 
@@ -284,6 +282,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "wall_time_seconds": report_solve.wall_time,
         },
         "objective": {"least_squares": ls, "roughness": rough, "total": ls + cfg.lam * rough},
+        "hierarchy": {
+            "levels": [
+                {"level": lv.level, "size": lv.size, "storage": lv.storage,
+                 "stored_bytes": lv.memory_reals() * 8}
+                for lv in hier.levels
+            ],
+        },
         "memory": {
             "hierarchy_bytes": hier.memory_reals() * 8,
             "solver_auxiliary_bytes": report_solve.peak_auxiliary_memory_estimate,
@@ -322,7 +327,6 @@ def _config_from_args(args) -> RunConfig:
         input=getattr(args, "input", None),
         output=getattr(args, "output", None),
         grid=getattr(args, "grid", 0),
-        deterministic=args.deterministic,
         dense_cap=args.dense_cap,
     )
 

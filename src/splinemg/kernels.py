@@ -5,7 +5,8 @@ column of a columnwise-Kronecker operator touches only a small window of
 positions per axis, and the kernels walk exactly those windows, ``CHUNK``
 points at a time with vectorized numpy (fancy indexing + ``bincount``).
 Every product with the design windows goes through `_window_weights`.  The
-kernels are sequential and bit-deterministic.
+kernels are sequential and bit-deterministic.  `cell_gram` assembles the
+data term of a level once, from points grouped by grid cell.
 """
 from __future__ import annotations
 
@@ -84,4 +85,35 @@ def dense_gram(vals, base, rel, digits, size):
         idx = (base[lo:hi] * (size + 1))[:, None] + pair[None, :]
         np.add.at(flat, idx.ravel(), (w[:, c0] * w[:, c1]).ravel())
     out += np.triu(out, 1).T
+    return out
+
+
+def cell_gram(vals, base, digits, locate, out):
+    """Add ``A A'`` into the stored entries ``out`` of a sparse matrix, one
+    grid cell at a time.
+
+    Points with equal ``base`` share their window positions (they lie in one
+    grid cell), so a cell contributes ``W' W`` of its ``(points, ncomb)``
+    window weights: one BLAS product instead of an outer product per point.
+    ``locate(bases)`` maps cell bases ``(m,)`` to the storage positions
+    ``(m, ncomb, ncomb)`` of their window pairs; the positions of one cell
+    are distinct, so a plain indexed add is exact.  Points are taken in cell
+    order, in chunks sized so that the located positions stay below
+    ``CHUNK * 1024`` numbers; a cell cut by a chunk border adds two partial
+    blocks.
+    """
+    ncomb = digits.shape[0]
+    step = max(1, CHUNK * 1024 // ncomb**2)
+    order = np.argsort(base, kind="stable")
+    cells = base[order]
+    block = np.empty((ncomb, ncomb))
+    for lo in range(0, base.shape[0], step):
+        hi = min(lo + step, base.shape[0])
+        w = _window_weights(vals[order[lo:hi]], digits, 0, hi - lo)
+        starts = np.flatnonzero(np.diff(cells[lo:hi], prepend=-1))
+        ends = np.append(starts[1:], hi - lo)
+        pos = locate(cells[lo + starts])
+        for j, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+            np.matmul(w[s:e].T, w[s:e], out=block)
+            out[pos[j]] += block
     return out

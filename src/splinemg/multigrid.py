@@ -2,18 +2,38 @@
 
 Levels ``g = 1..G`` share the dataset, smoothing parameter and degrees; the
 prolongation between consecutive levels is the Kronecker product of the
-per-axis refinement matrices and restriction is its transpose, so the coarse
-operators satisfy the Galerkin relation with the fine ones.  Only the
-coarsest operator is ever factorized.
+per-axis refinement matrices and restriction is its transpose.  The spaces
+are nested, so every coarse operator equals ``P' A P`` of the level above
+it (the Galerkin relation).
+
+Only the finest level is certain to touch the data in every product: it is
+matrix-free.  `build_hierarchy` walks down from level ``G - 1``; levels stay
+matrix-free until the first one whose band nonzeros fit into the window
+entries of one data pass (``n * prod(q + 1)``), so that one CSR product
+costs no more than one pass over the data.  That level is assembled from
+its own windows, and every level below it is the sparse Galerkin product
+``P' A P`` of the level above.  Only the coarsest operator is factorized.
 """
 from __future__ import annotations
 
+from functools import reduce
+from math import prod
+
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .bsplines import subdivision_matrix
 from .errors import CapacityError, NumericError, ParameterError, ShapeError
-from .system import DENSE_CAP, LevelOperator, ScatteredDataset, build_level
+from .system import (
+    DENSE_CAP,
+    BandPattern,
+    LevelOperator,
+    ScatteredDataset,
+    build_level,
+    level_spaces,
+    normalize_degrees,
+)
 from .tensorops import kron_matvec, kron_matvec_transposed, stored_size
 
 
@@ -80,6 +100,32 @@ class Hierarchy:
         return int(count)
 
 
+def _check_identifiable(dataset: ScatteredDataset) -> None:
+    """Raise unless the points determine an affine function.
+
+    The penalty vanishes exactly on the affine functions, so the normal
+    equations are singular when ``[1, X]`` has rank below ``P + 1`` (all
+    points on one hyperplane, for example a single point or collinear points
+    in the plane).
+    """
+    points = dataset.points
+    span = dataset.bounds[:, 1] - dataset.bounds[:, 0]
+    rank = 1 + int(np.linalg.matrix_rank((points - points.mean(axis=0)) / span))
+    if rank < dataset.num_axes + 1:
+        raise ParameterError(
+            f"the points lie on one affine subspace of dimension {rank - 1} "
+            f"([1, X] has rank {rank} < {dataset.num_axes + 1}); the penalty vanishes "
+            "on affine functions, so such data leave the smoothing system singular"
+        )
+
+
+def galerkin_product(matrix, factors):
+    """``P' A P`` for the Kronecker prolongation ``P`` of the 1D refinement
+    factors, as a CSR matrix."""
+    p = reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), factors)
+    return scipy.sparse.csr_array(p.T @ (matrix @ p))
+
+
 def build_hierarchy(
     dataset: ScatteredDataset,
     num_levels: int,
@@ -94,9 +140,10 @@ def build_hierarchy(
 ) -> Hierarchy:
     """Build level operators, transfer factors and the coarse factorization.
 
-    ``coarse_mode`` is ``direct`` (Cholesky of the assembled coarsest
-    operator), ``cg`` (nested matrix-free CG) or ``auto`` (direct when the
-    coarsest dimension fits under ``dense_cap``).
+    The finest level is matrix-free; coarser levels are assembled into CSR
+    by the size rule of the module docstring.  ``coarse_mode`` is ``direct``
+    (Cholesky of the assembled coarsest operator), ``cg`` (nested CG) or
+    ``auto`` (direct when the coarsest dimension fits under ``dense_cap``).
     """
     if num_levels < 1:
         raise ParameterError(f"need at least one level, got {num_levels}")
@@ -104,14 +151,28 @@ def build_hierarchy(
         raise ParameterError("smoothing step counts must be non-negative")
     if not 0 < omega < 2:
         raise ParameterError(f"damping factor must be in (0, 2), got {omega}")
-    levels = [build_level(dataset, g, lam, degrees) for g in range(1, num_levels + 1)]
+    degrees = normalize_degrees(degrees, dataset.num_axes)
+    _check_identifiable(dataset)
+    spaces = [level_spaces(dataset, g, degrees) for g in range(1, num_levels + 1)]
     transfers = [
-        tuple(
-            subdivision_matrix(cs, fs)
-            for cs, fs in zip(levels[i].spaces, levels[i + 1].spaces)
-        )
+        tuple(subdivision_matrix(cs, fs) for cs, fs in zip(spaces[i], spaces[i + 1]))
         for i in range(num_levels - 1)
     ]
+    pass_entries = dataset.n * prod(q + 1 for q in degrees)
+    assembled = next(
+        (g for g in range(num_levels - 1, 0, -1) if BandPattern(spaces[g - 1]).nnz <= pass_entries),
+        0,
+    )
+    # CSR levels first, so that the assembly scratch never meets the windows
+    # of the finer levels
+    levels = [None] * num_levels
+    if assembled:
+        levels[assembled - 1] = LevelOperator(dataset, assembled, lam, degrees).assemble()
+    for g in range(assembled - 1, 0, -1):
+        matrix = galerkin_product(levels[g].matrix, transfers[g - 1])
+        levels[g - 1] = LevelOperator(dataset, g, lam, degrees, matrix=matrix)
+    for g in range(assembled + 1, num_levels + 1):
+        levels[g - 1] = build_level(dataset, g, lam, degrees)
     if coarse_mode == "auto":
         coarse_mode = "direct" if levels[0].size <= dense_cap else "cg"
     elif coarse_mode == "direct" and levels[0].size > dense_cap:

@@ -1,11 +1,20 @@
-"""Matrix-free penalized least-squares operator per grid level.
+"""Penalized least-squares operator per grid level.
 
 For scattered observations and a tensor-product spline space, the normal
 equations read ``(B'B + lam * R) alpha = B'y`` where ``B`` holds the tensor
 basis evaluated at the data and ``R`` is the thin-plate style roughness
 penalty built from all pure and mixed second-order derivative Gram matrices.
-`LevelOperator` realizes the left-hand side through the window kernels and
-Kronecker contractions without ever forming a coefficient matrix.
+
+`LevelOperator` holds the left-hand side in one of two storages.  The
+matrix-free one (``storage == "windows"``) keeps the per-point design
+windows and applies the data term with the window kernels and the penalty
+by Kronecker contractions; the finest level always uses it, so the finest
+coefficient matrix is never formed.  The assembled one (``"csr"``) holds
+``B'B + lam * R`` as one CSR matrix in the Kronecker band pattern (per axis
+the ``2q + 1`` diagonals of a degree-``q`` space, `BandPattern`) and keeps
+no per-point data; `LevelOperator.assemble` builds it from a level's
+windows by cell-grouped products, and the multigrid hierarchy derives coarser ones by
+Galerkin products.
 """
 from __future__ import annotations
 
@@ -14,6 +23,7 @@ from functools import reduce
 from math import factorial, prod
 
 import numpy as np
+import scipy.sparse
 
 from . import kernels
 from .bsplines import MAX_DEGREE, build_space, eval_basis_batch, gram_matrix
@@ -158,25 +168,155 @@ def design_factors(spaces, points) -> KhatriRaoFactors:
     )
 
 
-class LevelOperator:
-    """Matrix-free normal-equations operator on one grid level."""
+def level_spaces(dataset: ScatteredDataset, level: int, degrees) -> tuple:
+    """The per-axis spline spaces of one grid level on the dataset's box."""
+    return tuple(
+        build_space(lo, hi, level, q) for (lo, hi), q in zip(dataset.bounds, degrees)
+    )
 
-    def __init__(self, dataset: ScatteredDataset, level: int, lam: float, degrees=3):
+
+class BandPattern:
+    """CSR layout of a level's Kronecker band pattern.
+
+    Per axis, row ``r`` of a degree-``q`` space couples the columns
+    ``lo[r] .. lo[r] + width[r] - 1`` with ``lo[r] = max(r - q, 0)``, and a
+    level row couples the C-order product of its axes' column ranges.  So
+    entry ``(R, C)`` is stored at ``indptr[R] + sum_p (c_p - lo_p[r_p]) *
+    prod_{t > p} width_t[r_t]``, with columns sorted within each row.
+    """
+
+    def __init__(self, spaces):
+        self.degrees = tuple(s.degree for s in spaces)
+        self.dims = tuple(s.dim for s in spaces)
+        self.size = prod(self.dims)
+        self.strides = [prod(self.dims[p + 1:]) for p in range(len(self.dims))]
+        self.lo, self.width, self.valid = [], [], []
+        for d, q in zip(self.dims, self.degrees):
+            r = np.arange(d)
+            self.lo.append(np.maximum(r - q, 0))
+            self.width.append(np.minimum(r + q, d - 1) - self.lo[-1] + 1)
+            # band codes 0..2q per row: column r + code - q, kept when in range
+            cols = r[:, None] + np.arange(-q, q + 1)[None, :]
+            self.valid.append((cols >= 0) & (cols < d))
+        row_nnz = reduce(np.multiply.outer, self.width).reshape(-1)
+        self.indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+        self.nnz = int(self.indptr[-1])
+
+    def positions(self, rows, cols) -> np.ndarray:
+        """Storage positions of the entries ``(rows, cols)`` (flat indices,
+        broadcast against each other)."""
+        pos = self.indptr[rows]
+        stride = 1
+        for p in range(len(self.dims) - 1, -1, -1):
+            r = rows // self.strides[p] % self.dims[p]
+            c = cols // self.strides[p] % self.dims[p]
+            pos = pos + (c - self.lo[p][r]) * stride
+            stride = stride * self.width[p][r]
+        return pos
+
+    def axis_band(self, factor, p: int) -> np.ndarray:
+        """Band array ``(dim, 2q + 1)`` of a 1D CSR factor of axis ``p``:
+        entry ``(r, code)`` holds the factor at column ``r + code - q``."""
+        q = self.degrees[p]
+        rows = np.repeat(np.arange(factor.shape[0]), np.diff(factor.indptr))
+        out = np.zeros((factor.shape[0], 2 * q + 1))
+        out[rows, factor.indices - rows + q] = factor.data
+        return out
+
+    def tocsr(self, data, kron_terms) -> scipy.sparse.csr_array:
+        """CSR matrix of the stored entries ``data`` plus the sum of the
+        Kronecker products of ``kron_terms`` (lists of per-axis band arrays).
+
+        A block of first-axis rows at a time, the products are formed as
+        ``(rows, prod(2q + 1))`` band arrays, which are ``np.kron`` of the
+        per-axis ones, and their in-range entries are read out in storage
+        order; the blocks hold about ``CHUNK * 64`` numbers.
+        """
+        band_width = prod(2 * q + 1 for q in self.degrees)
+        colshift = np.zeros(1, dtype=np.int64)
+        for q, stride in zip(self.degrees, self.strides):
+            colshift = (colshift[:, None] + stride * np.arange(-q, q + 1)[None, :]).ravel()
+        one = np.ones((1, 1))
+        rest_valid = reduce(np.kron, self.valid[1:], one) > 0
+        rests = [reduce(np.kron, axes[1:], one) for axes in kron_terms]
+        rest_rows = self.strides[0]
+        step = max(1, kernels.CHUNK * 64 // (rest_rows * band_width))
+        indices = np.empty(self.nnz, dtype=np.int64)
+        for s in range(0, self.dims[0], step):
+            e = min(s + step, self.dims[0])
+            keep = np.flatnonzero(np.kron(self.valid[0][s:e], rest_valid))
+            band = sum(np.kron(axes[0][s:e], rest) for axes, rest in zip(kron_terms, rests))
+            lo, hi = self.indptr[s * rest_rows], self.indptr[e * rest_rows]
+            data[lo:hi] += band.reshape(-1)[keep]
+            indices[lo:hi] = s * rest_rows + keep // band_width + colshift[keep % band_width]
+        return scipy.sparse.csr_array((data, indices, self.indptr), shape=(self.size, self.size))
+
+
+class LevelOperator:
+    """Normal-equations operator ``B'B + lam * R`` on one grid level.
+
+    ``matrix=None`` builds the matrix-free level, which stores the design
+    windows of every data point.  Otherwise ``matrix`` is the level's
+    assembled operator (CSR) and the level stores no windows: its
+    ``design`` holds zero points, and `rhs` and `fitted_values` evaluate the
+    basis at the data when called.  Both storages keep the spaces, the
+    penalty factors, ``lam`` and the dataset.
+    """
+
+    def __init__(self, dataset: ScatteredDataset, level: int, lam: float, degrees=3,
+                 matrix=None):
         if lam <= 0:
             raise ParameterError(f"smoothing parameter must be positive, got {lam}")
-        degrees = normalize_degrees(degrees, dataset.num_axes)
+        self.degrees = normalize_degrees(degrees, dataset.num_axes)
         self.dataset = dataset
         self.level = int(level)
         self.lam = float(lam)
-        self.spaces = tuple(
-            build_space(lo, hi, level, q)
-            for (lo, hi), q in zip(dataset.bounds, degrees)
-        )
+        self.spaces = level_spaces(dataset, level, self.degrees)
         self.dims = tuple(s.dim for s in self.spaces)
         self.size = prod(self.dims)
-        self.design = design_factors(self.spaces, dataset.points)
+        if matrix is not None and matrix.shape != (self.size, self.size):
+            raise ShapeError(f"level {level} needs a {self.size}x{self.size} matrix, "
+                             f"got {matrix.shape}")
+        self.matrix = matrix
+        points = dataset.points if matrix is None else dataset.points[:0]
+        self.design = design_factors(self.spaces, points)
         self.penalty = penalty_terms(self.spaces)
         self._diag = None
+
+    @property
+    def storage(self) -> str:
+        """``"windows"`` (matrix-free) or ``"csr"`` (assembled)."""
+        return "windows" if self.matrix is None else "csr"
+
+    def assemble(self) -> "LevelOperator":
+        """Switch this level to CSR storage, built from its own windows and
+        penalty factors, and drop the windows; returns the level.
+
+        The data term is summed cell by cell (`kernels.cell_gram`) straight
+        into the stored entries of the `BandPattern`, and the penalty terms
+        are added from their 1D band arrays.  No design matrix and no dense
+        ``size x size`` array is formed.
+        """
+        if self.matrix is not None:
+            return self
+        pattern = BandPattern(self.spaces)
+        f = self.design
+
+        def locate(cells):
+            rows = cells[:, None, None] + f.rel[None, :, None]
+            return pattern.positions(rows, rows.transpose(0, 2, 1))
+
+        data = np.zeros(pattern.nnz)
+        kernels.cell_gram(f.values, f.base, f.digits, locate, data)
+        kron_terms = []
+        for term in self.penalty:
+            axes = [pattern.axis_band(g, p) for p, g in enumerate(term.factors)]
+            axes[0] *= self.lam * term.weight  # scale the small factor, not the product
+            kron_terms.append(axes)
+        self.matrix = pattern.tocsr(data, kron_terms)
+        self.design = design_factors(self.spaces, self.dataset.points[:0])
+        self._diag = None
+        return self
 
     # -- core products -----------------------------------------------------
 
@@ -187,9 +327,21 @@ class LevelOperator:
             raise ShapeError(f"expected vector of length {length}, got {v.shape}")
         return v
 
+    def _data_design(self) -> KhatriRaoFactors:
+        """Design windows at the training points (evaluated on demand for an
+        assembled level, which does not store them)."""
+        if self.matrix is None:
+            return self.design
+        return design_factors(self.spaces, self.dataset.points)
+
     def apply(self, alpha, out=None) -> np.ndarray:
         """Operator action ``(B'B + lam * R) alpha``."""
         alpha = self._check(alpha)
+        if self.matrix is not None:
+            if out is None:
+                return self.matrix @ alpha
+            out[:] = self.matrix @ alpha
+            return out
         if out is None:
             out = np.zeros(self.size)
         else:
@@ -202,15 +354,18 @@ class LevelOperator:
     def rhs(self, y=None) -> np.ndarray:
         """Right-hand side ``B'y`` (training responses by default)."""
         y = self.dataset.responses if y is None else self._check(y, self.dataset.n)
-        return khatri_rao_matvec(self.design, y)
+        return khatri_rao_matvec(self._data_design(), y)
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of the operator, cached after the first call."""
         if self._diag is None:
-            d = khatri_rao_gram_diag(self.design)
-            for term in self.penalty:
-                d = d + (self.lam * term.weight) * kron_diagonal(term.factors)
-            self._diag = d
+            if self.matrix is not None:
+                self._diag = self.matrix.diagonal()
+            else:
+                d = khatri_rao_gram_diag(self.design)
+                for term in self.penalty:
+                    d = d + (self.lam * term.weight) * kron_diagonal(term.factors)
+                self._diag = d
         return self._diag
 
     # -- evaluation and diagnostics -----------------------------------------
@@ -228,7 +383,7 @@ class LevelOperator:
 
     def fitted_values(self, alpha) -> np.ndarray:
         """Spline values at the training points."""
-        return khatri_rao_tmatvec(self.design, self._check(alpha))
+        return khatri_rao_tmatvec(self._data_design(), self._check(alpha))
 
     def objective(self, alpha, y=None):
         """Return ``(ls, roughness)``: squared misfit and penalty quadratic
@@ -249,6 +404,8 @@ class LevelOperator:
             raise CapacityError(
                 f"dense assembly of a {self.size}x{self.size} operator exceeds cap {cap}"
             )
+        if self.matrix is not None:
+            return self.matrix.toarray()
         f = self.design
         a = kernels.dense_gram(f.values, f.base, f.rel, f.digits, self.size)
         for term in self.penalty:
@@ -257,11 +414,13 @@ class LevelOperator:
 
     def memory_reals(self) -> int:
         """Count of the stored operator numbers, each counted as one float64
-        slot: design windows, penalty factors (values and CSR indices),
-        cached diagonal and index helpers."""
+        slot: design windows, assembled matrix (values and CSR indices),
+        penalty factors, cached diagonal and index helpers."""
         f = self.design
         count = f.values.size + f.offsets.size + f.base.size
         count += f.rel.size + f.digits.size
+        if self.matrix is not None:
+            count += stored_size(self.matrix)
         count += sum(stored_size(g) for t in self.penalty for g in t.factors)
         count += self.size  # cached diagonal
         return int(count)

@@ -291,7 +291,7 @@ def test_criterion_09_memory_discipline():
 
 def test_criterion_10_determinism(tmp_path):
     args = ["fit", "--dim", "2", "--n", "2000", "--noise", "0.1", "--seed", "11",
-            "--levels", "3", "--lambda", "1.0", "--deterministic"]
+            "--levels", "3", "--lambda", "1.0"]
     blobs = []
     for name in ("run1", "run2"):
         out = tmp_path / name

@@ -65,9 +65,38 @@ class TestFit:
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            assert run(["fit", *BASE_FIT, "--deterministic", "--output", out]) == 0
+            assert run(["fit", *BASE_FIT, "--output", out]) == 0
             outs.append((out / "coefficients.txt").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_report_lists_level_storage(self, fit_dir):
+        # P=2, q=3, n=400: one data pass covers 400 * 16 = 6400 window entries;
+        # level 2 has 37**2 = 1369 band nonzeros, so levels 1-2 are CSR
+        report = json.loads((fit_dir / "report.json").read_text())
+        levels = report["hierarchy"]["levels"]
+        assert [lv["level"] for lv in levels] == [1, 2, 3]
+        assert [lv["size"] for lv in levels] == [25, 49, 121]
+        assert [lv["storage"] for lv in levels] == ["csr", "csr", "windows"]
+        assert all(lv["stored_bytes"] > 0 for lv in levels)
+        assert sum(lv["stored_bytes"] for lv in levels) < report["memory"]["hierarchy_bytes"]
+
+    def test_deterministic_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", *BASE_FIT, "--deterministic", "--output", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert "--deterministic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows,rank", [
+        ([[0.3, 0.7, 1.0]], 1),
+        ([[0.1, 0.2, 1.0], [0.5, 0.6, 2.0], [0.9, 1.0, 0.5]], 2),
+    ])
+    def test_unidentifiable_points_exit_code(self, tmp_path, capsys, rows, rank):
+        data_file = tmp_path / "flat.txt"
+        np.savetxt(data_file, rows)
+        code = run(["fit", "--input", data_file, "--levels", 2, "--output", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert f"[1, X] has rank {rank} < 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_round_trip_predictions_match_residuals(self, fit_dir, tmp_path):
         report = json.loads((fit_dir / "report.json").read_text())

@@ -6,18 +6,24 @@ import pytest
 import scipy.sparse
 
 from splinemg import (
+    Hierarchy,
     ParameterError,
+    ScatteredDataset,
     ShapeError,
+    SolverConfig,
     build_hierarchy,
+    build_level,
     coarse_solve,
     jacobi_smooth,
+    subdivision_matrix,
     transfer,
     v_cycle,
 )
 from splinemg.solvers import mgcg_solve
+from splinemg.system import BandPattern
 from splinemg.tensorops import stored_size
 from conftest import make_dataset
-from oracles import DenseOperator, dense_kron
+from oracles import DenseOperator, dense_kron, dense_rhs
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +219,123 @@ class TestVCycle:
     def test_shape_error(self, hier_2d):
         with pytest.raises(ShapeError):
             v_cycle(hier_2d, None, np.zeros(7), 3)
+
+
+class TestAssembledLevels:
+    @pytest.mark.parametrize("num_axes,levels,n,assembled", [
+        (1, 6, 2000, 5),  # q=3: every coarse level is CSR
+        (2, 4, 3000, 3),
+        (3, 3, 3000, 2),
+    ])
+    def test_match_levels_rediscretized_from_data(self, num_axes, levels, n, assembled):
+        data = make_dataset(num_axes, n, seed=30 + num_axes)
+        hier = build_hierarchy(data, levels, 0.6)
+        storages = [op.storage for op in hier.levels]
+        assert storages == ["csr"] * assembled + ["windows"] * (levels - assembled)
+        for op in hier.levels[:assembled]:
+            ref = build_level(data, op.level, 0.6)
+            dense = ref.assemble_dense()
+            scale = max(1.0, np.abs(dense).max())
+            assert np.abs(op.assemble_dense() - dense).max() <= 1e-12 * scale
+            npt.assert_allclose(op.diagonal(), ref.diagonal(), rtol=0, atol=1e-12 * scale)
+            npt.assert_allclose(op.rhs(), dense_rhs(op), rtol=1e-12, atol=1e-12)
+            alpha = np.linspace(-1.0, 1.0, op.size)
+            npt.assert_allclose(op.fitted_values(alpha), ref.fitted_values(alpha), atol=1e-12)
+
+    def test_clustered_points_match(self):
+        # 20k points in one coarse cell: the cell spans several kernel chunks
+        gen = np.random.default_rng(12)
+        pts = np.vstack([0.3 + 0.01 * gen.random((20_000, 2)), gen.random((50, 2))])
+        data = ScatteredDataset(pts, gen.standard_normal(pts.shape[0]))
+        hier = build_hierarchy(data, 4, 1.0)
+        for op in hier.levels[:-1]:
+            assert op.storage == "csr"
+            dense = build_level(data, op.level, 1.0).assemble_dense()
+            assert np.abs(op.assemble_dense() - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("num_axes,levels,n,expected", [
+        # one data pass touches n * 4**P window entries; per axis a level-g
+        # space has 2**g + 3 functions and 7 * dim - 12 band entries
+        (2, 5, 200, ["csr", "csr", "windows", "windows", "windows"]),  # 37**2 <= 3200 < 65**2
+        (3, 5, 20_000, ["csr"] * 3 + ["windows"] * 2),  # 65**3 <= 1.28M < 121**3
+        (2, 7, 100_000, ["csr"] * 6 + ["windows"]),  # 457**2 <= 1.6M
+        (3, 3, 10, ["windows"] * 3),  # 23**3 = 12167 > 640: nothing pays
+        (2, 3, 86, ["csr", "csr", "windows"]),  # 37**2 = 1369 <= 86 * 16 = 1376
+        (2, 3, 85, ["csr", "windows", "windows"]),  # 1369 > 1360 >= 23**2
+        (2, 1, 200, ["windows"]),
+    ])
+    def test_size_rule_picks_levels(self, num_axes, levels, n, expected):
+        data = make_dataset(num_axes, n, seed=4)
+        hier = build_hierarchy(data, levels, 1.0)
+        assert [op.storage for op in hier.levels] == expected
+
+    def test_size_rule_admits_equality(self):
+        # degree 2 in 1D: level 2 has 6 functions and 5 * 6 - 6 = 24 band
+        # entries, exactly the 8 * 3 window entries of one pass
+        hier = build_hierarchy(make_dataset(1, 8, seed=2), 3, 1.0, degrees=2)
+        assert [op.storage for op in hier.levels] == ["csr", "csr", "windows"]
+
+    def test_window_assembled_level_holds_the_band_pattern(self):
+        data = make_dataset(2, 3000, seed=6)
+        hier = build_hierarchy(data, 4, 1.0)
+        op = hier.level(3)  # assembled from its windows
+        assert op.matrix.nnz == BandPattern(op.spaces).nnz == 65**2
+        rows = np.repeat(np.arange(op.size), np.diff(op.matrix.indptr))
+        r, c = np.unravel_index(rows, op.dims), np.unravel_index(op.matrix.indices, op.dims)
+        assert all(np.abs(rp - cp).max() <= 3 for rp, cp in zip(r, c))
+
+    def test_stores_no_windows_and_counts_csr(self):
+        data = make_dataset(2, 3000, seed=6)
+        hier = build_hierarchy(data, 4, 1.0)
+        for op in hier.levels[:-1]:
+            assert op.design.n_cols == 0 and op.design.values.size == 0
+            penalty = sum(stored_size(g) for t in op.penalty for g in t.factors)
+            helpers = op.design.rel.size + op.design.digits.size
+            assert op.memory_reals() == stored_size(op.matrix) + penalty + helpers + op.size
+        finest = hier.finest
+        assert finest.storage == "windows" and finest.design.n_cols == data.n
+        transfers = sum(stored_size(f) for axis in hier.transfers for f in axis)
+        total = sum(op.memory_reals() for op in hier.levels) + transfers + 25 * 25
+        assert hier.memory_reals() == total
+
+    def test_mgcg_matches_matrix_free_hierarchy(self):
+        data = make_dataset(2, 20_000, seed=8)
+        hier = build_hierarchy(data, 5, 1.0)
+        assert [op.storage for op in hier.levels].count("csr") == 4
+        levels = [build_level(data, g, 1.0) for g in range(1, 6)]
+        transfers = [
+            tuple(subdivision_matrix(c, f) for c, f in zip(levels[i].spaces, levels[i + 1].spaces))
+            for i in range(4)
+        ]
+        reference = Hierarchy(levels, transfers, 2, 2, 0.8, "direct", 1e-10)
+        cfg = SolverConfig(tolerance=1e-8)
+        new, old = mgcg_solve(hier, cfg=cfg), mgcg_solve(reference, cfg=cfg)
+        assert new.converged and old.converged
+        assert new.iterations == old.iterations
+        gap = np.linalg.norm(new.coefficients - old.coefficients)
+        assert gap <= 1e-10 * np.linalg.norm(old.coefficients)
+
+
+class TestIdentifiability:
+    def test_single_point_rejected(self):
+        data = ScatteredDataset(np.array([[0.5]]), np.array([1.0]))
+        with pytest.raises(ParameterError, match=r"\[1, X\] has rank 1 < 2"):
+            build_hierarchy(data, 2, 1.0)
+
+    def test_collinear_points_rejected(self):
+        t = np.array([0.1, 0.5, 0.9])
+        data = ScatteredDataset(np.column_stack([t, 0.2 + 0.5 * t]), np.array([1.0, 2.0, 0.5]))
+        with pytest.raises(ParameterError, match=r"rank 2 < 3.*affine"):
+            build_hierarchy(data, 2, 1.0)
+
+    def test_coplanar_points_rejected_in_3d(self):
+        gen = np.random.default_rng(1)
+        uv = gen.random((50, 2))
+        pts = np.column_stack([uv, 0.5 * uv[:, 0] + 0.25 * uv[:, 1] + 0.1])
+        with pytest.raises(ParameterError, match="rank 3 < 4"):
+            build_hierarchy(ScatteredDataset(pts, gen.standard_normal(50)), 2, 1.0)
+
+    def test_three_points_spanning_the_plane_accepted(self):
+        data = ScatteredDataset(np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.9]]), np.ones(3))
+        report = mgcg_solve(build_hierarchy(data, 2, 1.0))
+        assert report.converged
