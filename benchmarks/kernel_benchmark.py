@@ -4,12 +4,12 @@ Kronecker products.
 
 Times the four window kernels (scatter, gather, squared scatter, fused
 normal product), the dense Gram assembly behind the matrix-free
-``LevelOperator.assemble_dense``, one application of every penalty term
-(``kron_matvec`` over the sparse 1D Gram factors of ``penalty_terms``), the
-window-to-CSR assembly of a level (``LevelOperator.assemble``) and one
-product with the assembled CSR level, on a synthetic smoothing workload, and
-prints one table row per kernel.  Useful for spotting regressions in the
-kernel path in isolation.
+``LevelOperator.assemble_dense``, the construction of the penalty terms'
+1D Gram factors (``penalty_terms``), one application of every penalty term
+(``kron_matvec`` over those sparse factors), the window-to-CSR assembly of
+a level (``LevelOperator.assemble``) and one product with the assembled CSR
+level, on a synthetic smoothing workload, and prints one table row per
+kernel.  Useful for spotting regressions in the kernel path in isolation.
 
     python3 benchmarks/kernel_benchmark.py [--n 200000] [--dim 3] [--level 5]
 
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from splinemg import LevelOperator, ScatteredDataset, kernels, kron_matvec
+from splinemg import LevelOperator, ScatteredDataset, kernels, kron_matvec, penalty_terms
 
 
 def make_level(n, dim, level, degree=3, seed=0):
@@ -71,6 +71,7 @@ def main():
         "scatter_squares": lambda: kernels.scatter_squares(*win, np.zeros(f.n_rows)),
         "gram_matvec": lambda: kernels.gram_matvec(*win, x_rows, np.zeros(f.n_rows)),
         "dense_gram": lambda: kernels.dense_gram(c.values, c.base, c.rel, c.digits, c.n_rows),
+        "penalty_grams": lambda: penalty_terms(op.spaces),
         "kron_matvec": lambda: [kron_matvec(t.factors, x_rows) for t in terms],
         "assemble": lambda: copy.copy(op).assemble(),  # the copy keeps `op` matrix-free
         "csr_apply": lambda: assembled.apply(x_rows),

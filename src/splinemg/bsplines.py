@@ -237,23 +237,32 @@ def gram_matrix(space: SplineSpace1D, deriv: int) -> BandedSymmetricMatrix:
     per-knot-interval Gauss-Legendre quadrature with ``degree - deriv + 1``
     nodes, which is exact for the piecewise-polynomial integrand of degree
     ``2 * (degree - deriv)``.
+
+    The Gauss nodes of all intervals are evaluated in one `eval_basis_batch`
+    call and all local ``(q+1) x (q+1)`` Grams come from one batched product.
+    Each band entry sums its intervals' contributions in ascending interval
+    order, so the bands equal those of a loop over the intervals bit for bit.
     """
     q = space.degree
     if not 0 <= deriv <= q:
         raise ParameterError(f"derivative order must be in 0..{q}, got {deriv}")
     nodes, weights = np.polynomial.legendre.leggauss(q - deriv + 1)
     h = space.mesh_width
+    intervals = space.num_intervals
+    x0 = space.lower + np.arange(intervals) * h
+    xg = x0[:, None] + 0.5 * h * (nodes + 1.0)
+    wg = 0.5 * h * weights
+    offsets, vals = eval_basis_batch(space, xg.reshape(-1), deriv)
+    # every node must lie in its own knot interval (one knot span per interval)
+    assert (offsets.reshape(intervals, -1) == np.arange(intervals)[:, None]).all()
+    vals = vals.reshape(intervals, nodes.size, q + 1)
+    local = np.matmul((vals * wg[:, None]).transpose(0, 2, 1), vals)  # (T, q+1, q+1)
     bands = np.zeros((q + 1, space.dim))
-    for t in range(space.num_intervals):
-        x0 = space.lower + t * h
-        xg = x0 + 0.5 * h * (nodes + 1.0)
-        wg = 0.5 * h * weights
-        offsets, vals = eval_basis_batch(space, xg, deriv)
-        assert int(offsets[0]) == t and int(offsets[-1]) == t  # one knot span
-        local = (vals * wg[:, None]).T @ vals  # (q+1, q+1)
-        for d in range(q + 1):
-            for i in range(q + 1 - d):
-                bands[d, t + i] += local[i, i + d]
+    for d in range(q + 1):
+        # entry (d, j) takes interval t = j - i from local row i: descending i
+        # adds the intervals in ascending order
+        for i in range(q - d, -1, -1):
+            bands[d, i : i + intervals] += local[:, i, i + d]
     return BandedSymmetricMatrix(dim=space.dim, bandwidth=q, bands=bands)
 
 

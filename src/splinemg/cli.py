@@ -13,6 +13,9 @@ optional header line are skipped.  A fit writes into its output directory:
 * ``residuals.txt``   -- training coordinates and response residuals,
 * ``grid.txt``        -- optional prediction grid (``--grid N`` points/axis).
 
+The text files keep ``np.savetxt``'s exact format (``%.17g`` unless noted)
+and are written in row blocks by `datasets.write_table`.
+
 ``predict`` consumes a fit directory and raw-coordinate points; coordinates
 are mapped through the stored per-axis affine scaling before evaluation.
 Points that map outside the fitted box get ``nan`` (their count goes to
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import analysis
 from .bsplines import build_space
-from .datasets import generate_dataset, read_dataset, read_table, write_dataset
+from .datasets import generate_dataset, read_dataset, read_table, write_dataset, write_table
 from .errors import (
     CapacityError,
     DomainError,
@@ -243,24 +246,22 @@ def run_pipeline(cfg: RunConfig) -> dict:
     report_solve = _solve(hier, cfg)
     alpha = report_solve.coefficients
     op = hier.finest
-    fitted = op.fitted_values(alpha)
-    residuals = data.responses - fitted
-    ls, rough = op.objective(alpha)
+    residuals = data.responses - op.fitted_values(alpha)
+    # the same sums as op.objective(alpha), without a second data pass
+    ls, rough = float(residuals @ residuals), op.roughness(alpha)
 
     os.makedirs(cfg.output, exist_ok=True)
-    np.savetxt(os.path.join(cfg.output, "coefficients.txt"), alpha, fmt="%.17e")
-    np.savetxt(
+    write_table(os.path.join(cfg.output, "coefficients.txt"), alpha, fmt="%.17e")
+    write_table(
         os.path.join(cfg.output, "residuals.txt"),
         np.column_stack([data.points, residuals]),
-        fmt="%.17g",
         header=" ".join([f"x{p + 1}" for p in range(data.num_axes)] + ["residual"]),
     )
     if cfg.grid > 0:
         pts = _grid_points(data.num_axes, cfg.grid)
-        np.savetxt(
+        write_table(
             os.path.join(cfg.output, "grid.txt"),
             np.column_stack([pts, op.predict(alpha, pts)]),
-            fmt="%.17g",
             header=" ".join([f"x{p + 1}" for p in range(data.num_axes)] + ["value"]),
         )
 
@@ -384,10 +385,9 @@ def _cmd_predict(args) -> int:
     if outside:
         print(f"{outside} point(s) outside the fitted box; their predictions are nan",
               file=sys.stderr)
-    np.savetxt(
+    write_table(
         args.output,
         np.column_stack([table[:, :dim], values]),
-        fmt="%.17g",
         header=" ".join([f"x{p + 1}" for p in range(dim)] + ["value"]),
     )
     print(f"wrote {values.shape[0]} prediction(s) to {args.output}")

@@ -1,10 +1,18 @@
-"""Synthetic test data and delimited-text dataset I/O."""
+"""Synthetic test data and delimited-text table I/O.
+
+Tables are written by `write_table` in `np.savetxt`'s exact format (one
+space between columns, an optional ``# `` header line), but formatted a
+block of ``BLOCK_ROWS`` rows at a time instead of one row per call.  They
+are read back by `read_table`, which also takes comma-separated files.
+"""
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ParameterError
 from .system import ScatteredDataset
+
+BLOCK_ROWS = 8192
 
 
 def sigmoid_target(points: np.ndarray) -> np.ndarray:
@@ -46,7 +54,28 @@ def write_dataset(path, points, responses) -> None:
     points = np.asarray(points, dtype=np.float64)
     data = np.column_stack([points, np.asarray(responses, dtype=np.float64)])
     cols = [f"x{p + 1}" for p in range(points.shape[1])] + ["y"]
-    np.savetxt(path, data, fmt="%.17g", header=" ".join(cols))
+    write_table(path, data, header=" ".join(cols))
+
+
+def write_table(path, table, fmt="%.17g", header=None) -> None:
+    """Write a 1D (one column) or 2D array as text, byte for byte as
+    ``np.savetxt(path, table, fmt=fmt, header=header or "")`` would.
+
+    ``fmt`` is one ``%`` conversion applied to every entry; columns are
+    separated by one space.  A non-empty ``header`` is written first as a
+    ``# `` comment line.  Each block of ``BLOCK_ROWS`` rows is formatted by
+    a single ``%`` over the block's entries.
+    """
+    table = np.asarray(table)
+    if table.ndim == 1:
+        table = table[:, None]
+    line = " ".join([fmt] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        for start in range(0, table.shape[0], BLOCK_ROWS):
+            block = table[start : start + BLOCK_ROWS]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_table(path) -> np.ndarray:

@@ -391,11 +391,15 @@ class LevelOperator:
         alpha = self._check(alpha)
         y = self.dataset.responses if y is None else self._check(y, self.dataset.n)
         resid = self.fitted_values(alpha) - y
-        ls = float(resid @ resid)
+        return float(resid @ resid), self.roughness(alpha)
+
+    def roughness(self, alpha) -> float:
+        """Penalty quadratic form ``alpha' R alpha`` (no data pass)."""
+        alpha = self._check(alpha)
         rough = 0.0
         for term in self.penalty:
             rough += term.weight * float(alpha @ kron_matvec(term.factors, alpha))
-        return ls, rough
+        return rough
 
     def assemble_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
         """Densify the operator (guarded by ``cap``; the coarse Cholesky

@@ -7,6 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splinemg import bsplines
 from splinemg import (
     DomainError,
     ParameterError,
@@ -162,6 +163,46 @@ class TestGramMatrix:
     def test_rejects_order_above_degree(self):
         with pytest.raises(ParameterError):
             gram_matrix(build_space(0.0, 1.0, 2, 2), 3)
+
+    @pytest.mark.parametrize("lower,upper,level", [
+        (0.0, 1.0, 1), (0.0, 1.0, 4), (0.0, 1.0, 9), (-2.5, 7.0, 9),
+    ])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_equals_per_interval_loop(self, lower, upper, level, degree):
+        sp = build_space(lower, upper, level, degree)
+        for deriv in range(degree + 1):
+            npt.assert_array_equal(gram_matrix(sp, deriv).bands, loop_gram_bands(sp, deriv))
+
+    def test_one_basis_evaluation_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return eval_basis_batch(*args, **kwargs)
+
+        monkeypatch.setattr(bsplines, "eval_basis_batch", counted)
+        sp = build_space(0.0, 1.0, 6, 3)
+        gram_matrix(sp, 2)
+        assert calls == [(sp.num_intervals * 2,)]
+
+
+def loop_gram_bands(space, deriv):
+    """Gram bands by one quadrature per knot interval, added interval by
+    interval: the reference that `gram_matrix` must reproduce exactly."""
+    q = space.degree
+    nodes, weights = np.polynomial.legendre.leggauss(q - deriv + 1)
+    h = space.mesh_width
+    bands = np.zeros((q + 1, space.dim))
+    for t in range(space.num_intervals):
+        xg = (space.lower + t * h) + 0.5 * h * (nodes + 1.0)
+        wg = 0.5 * h * weights
+        offsets, vals = eval_basis_batch(space, xg, deriv)
+        assert (offsets == t).all()
+        local = (vals * wg[:, None]).T @ vals
+        for d in range(q + 1):
+            for i in range(q + 1 - d):
+                bands[d, t + i] += local[i, i + d]
+    return bands
 
 
 class TestSubdivision:

@@ -61,6 +61,17 @@ class TestFit:
         assert report["memory"]["hierarchy_bytes"] > 0
         assert len(report["scaling"]) == 2
 
+    def test_report_objective_equals_library_objective(self, fit_dir):
+        from splinemg import LevelOperator, generate_dataset
+
+        report = json.loads((fit_dir / "report.json").read_text())
+        cfg = report["config"]
+        data = generate_dataset(2, cfg["n"], cfg["noise"], cfg["seed"])
+        op = LevelOperator(data, cfg["levels"], cfg["lam"], cfg["degree"])
+        alpha = np.loadtxt(fit_dir / "coefficients.txt")  # %.17e round-trips exactly
+        objective = report["objective"]
+        assert (objective["least_squares"], objective["roughness"]) == op.objective(alpha)
+
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -97,6 +108,34 @@ class TestFit:
         assert code == cli.EXIT_CONFIG
         assert f"[1, X] has rank {rank} < 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_constant_coordinate_column_exit_code(self, tmp_path, capsys):
+        gen = np.random.default_rng(4)
+        rows = np.column_stack([np.full(50, 0.25), gen.random(50), gen.standard_normal(50)])
+        data_file = tmp_path / "const.txt"
+        np.savetxt(data_file, rows)
+        code = run(["fit", "--input", data_file, "--levels", 2, "--output", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert "affine subspace of dimension 1" in capsys.readouterr().err
+
+    def test_artifacts_resave_identically_with_savetxt(self, tmp_path):
+        out = tmp_path / "g"
+        assert run(["fit", *BASE_FIT, "--grid", 4, "--output", out]) == 0
+        queries = tmp_path / "q.txt"
+        np.savetxt(queries, [[0.5, 0.25], [1.5, 0.5], [0.0, 1.0]])
+        assert run(["predict", "--model", out, "--input", queries,
+                    "--output", tmp_path / "pred.txt"]) == 0
+        assert run(["generate", "--dim", 2, "--n", 30, "--output", tmp_path / "gen.txt"]) == 0
+        artifacts = [(out / "coefficients.txt", "%.17e")] + [
+            (path, "%.17g") for path in (out / "residuals.txt", out / "grid.txt",
+                                         tmp_path / "pred.txt", tmp_path / "gen.txt")
+        ]
+        for path, fmt in artifacts:
+            text = path.read_text()
+            header = text.splitlines()[0][2:] if text.startswith("# ") else ""
+            resaved = tmp_path / "resaved.txt"
+            np.savetxt(resaved, np.loadtxt(path), fmt=fmt, header=header)
+            assert resaved.read_bytes() == path.read_bytes(), path.name
 
     def test_round_trip_predictions_match_residuals(self, fit_dir, tmp_path):
         report = json.loads((fit_dir / "report.json").read_text())
@@ -202,6 +241,25 @@ class TestPredict:
         npt.assert_array_equal(preds[:, :2], [[0.5, 0.5], [1.5, 0.5]])
         assert preds[0, 2] == np.loadtxt(tmp_path / "alone_pred.txt")[2]
         assert np.isnan(preds[1, 2])
+
+    def test_query_at_training_maximum_is_finite_beyond_is_nan(self, tmp_path, capsys):
+        gen = np.random.default_rng(11)
+        pts = gen.uniform(-5.0, 7.0, size=(300, 2))
+        data_file = tmp_path / "d.txt"
+        np.savetxt(data_file, np.column_stack([pts, np.sin(pts[:, 0]) + pts[:, 1]]))
+        out = tmp_path / "fit"
+        assert run(["fit", "--input", data_file, "--levels", 3, "--output", out]) == 0
+        top = pts.max(axis=0)
+        # one ulp past the maximum can round back onto it in the rescaling
+        beyond = top[0] + 1e-12 * (top[0] - pts[:, 0].min())
+        queries = tmp_path / "q.txt"
+        np.savetxt(queries, [top, [beyond, top[1]]], fmt="%.17g")
+        preds_file = tmp_path / "p.txt"
+        assert run(["predict", "--model", out, "--input", queries,
+                    "--output", preds_file]) == cli.EXIT_OK
+        preds = np.loadtxt(preds_file)[:, 2]
+        assert np.isfinite(preds[0]) and np.isnan(preds[1])
+        assert "1 point(s) outside" in capsys.readouterr().err
 
     def test_non_finite_coordinates_exit_code(self, fit_dir, tmp_path):
         queries = tmp_path / "q.txt"

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from splinemg import ParameterError, generate_dataset, read_dataset, sigmoid_target, write_dataset
-from splinemg.datasets import read_table
+from splinemg.datasets import BLOCK_ROWS, read_table, write_table
 
 
 class TestSigmoidTarget:
@@ -90,3 +90,36 @@ class TestDatasetIo:
         path = tmp_path / "t.txt"
         np.savetxt(path, np.arange(12.0).reshape(4, 3))
         assert read_table(path).shape == (4, 3)
+
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-309,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e22]
+
+
+class TestWriteTable:
+    """`write_table` must write exactly the bytes of `np.savetxt`."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, table, fmt="%.17g", header=None):
+        ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+        write_table(ours, table, fmt=fmt, header=header)
+        np.savetxt(ref, table, fmt=fmt, header="" if header is None else header)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.17e"])
+    @pytest.mark.parametrize("header", [None, "", "x1 x2 y", "first\nsecond"])
+    def test_special_values_2d(self, tmp_path, rng, fmt, header):
+        table = rng.standard_normal((len(SPECIAL_VALUES), 3))
+        table[:, 1] = SPECIAL_VALUES
+        table[::2, 2] = SPECIAL_VALUES[::-2]
+        self.assert_same_bytes(tmp_path, table, fmt, header)
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.17e"])
+    def test_special_values_1d(self, tmp_path, fmt):
+        self.assert_same_bytes(tmp_path, np.array(SPECIAL_VALUES), fmt)
+        self.assert_same_bytes(tmp_path, np.array(SPECIAL_VALUES), fmt, header="value")
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 5])
+    def test_row_counts_around_the_block_size(self, tmp_path, rng, rows):
+        self.assert_same_bytes(tmp_path, rng.standard_normal((rows, 2)), header="x1 y")
+        self.assert_same_bytes(tmp_path, rng.standard_normal(rows), fmt="%.17e")
