@@ -4,8 +4,8 @@ Everything here assembles dense matrices by probing linear maps with unit
 vectors, so all routines are guarded by the dense cap.  The module provides
 the preconditioned-operator probe, eigenvalue/condition reports, the
 stationary-iteration error propagator of the V-cycle, and a dense
-symmetric-sweep (SSOR style) smoother reference that the matrix-free path
-deliberately does not offer.
+symmetric Gauss-Seidel smoother reference that the matrix-free path
+deliberately does not offer (``SolverConfig(preconditioner='mg-ssor')``).
 """
 from __future__ import annotations
 
@@ -72,30 +72,26 @@ def _check_cap(size: int, cap: int, what: str) -> None:
 
 
 class SsorVcycleReference:
-    """V-cycle preconditioner with dense symmetric-relaxation sweeps.
+    """V-cycle preconditioner with dense symmetric Gauss-Seidel sweeps.
 
-    The symmetric sweep (forward then backward successive relaxation, factor
-    ``relaxation``) needs every entry of the level matrices, so all levels
-    are assembled densely up front; this is the comparison baseline the
-    matrix-free Jacobi smoother is measured against.  Instances are callable
-    as a preconditioner ``r -> z``.
+    The symmetric sweep (a forward then a backward Gauss-Seidel sweep) needs
+    every entry of the level matrices, so all levels are assembled densely
+    up front; this is the comparison baseline the matrix-free Jacobi
+    smoother is measured against.  Instances are callable as a
+    preconditioner ``r -> z``.
     """
 
-    def __init__(self, hier: Hierarchy, relaxation: float = 1.0, cap: int = DENSE_CAP):
-        if not 0 < relaxation < 2:
-            raise ParameterError(f"relaxation must be in (0, 2), got {relaxation}")
+    def __init__(self, hier: Hierarchy, cap: int = DENSE_CAP):
         _check_cap(hier.finest.size, cap, "dense smoother reference")
         self.hier = hier
-        self.relaxation = relaxation
         self.matrices = [op.assemble_dense(cap) for op in hier.levels]
 
-    def _sweep(self, a: np.ndarray, alpha: np.ndarray, b: np.ndarray) -> None:
-        tau = self.relaxation
-        n = a.shape[0]
-        for i in range(n):
-            alpha[i] += tau * (b[i] - a[i] @ alpha) / a[i, i]
-        for i in range(n - 1, -1, -1):
-            alpha[i] += tau * (b[i] - a[i] @ alpha) / a[i, i]
+    @staticmethod
+    def _sweep(a: np.ndarray, alpha: np.ndarray, b) -> None:
+        """One symmetric sweep in place: ``alpha += (D + L)^{-1} (b - A alpha)``,
+        then the same with ``D + U``.  ``alpha`` may hold several columns."""
+        alpha += scipy.linalg.solve_triangular(a, b - a @ alpha, lower=True)
+        alpha += scipy.linalg.solve_triangular(a, b - a @ alpha, lower=False)
 
     def smoother(self, g: int, alpha, b, steps: int) -> np.ndarray:
         a = self.matrices[g - 1]
@@ -108,29 +104,22 @@ class SsorVcycleReference:
         return v_cycle(self.hier, None, r, self.hier.num_levels, smoother=self.smoother)
 
 
-def ssor_vcycle_reference(hier: Hierarchy, relaxation: float = 1.0, cap: int = DENSE_CAP) -> SsorVcycleReference:
-    """Build the dense-smoother V-cycle preconditioner handle."""
-    return SsorVcycleReference(hier, relaxation, cap)
-
-
-def _preconditioner(hier: Hierarchy, smoother: str, relaxation: float, cap: int):
+def _preconditioner(hier: Hierarchy, smoother: str, cap: int):
     if smoother == "identity":
         return lambda r: r
     if smoother == "jacobi":
         return lambda r: v_cycle(hier, None, r, hier.num_levels)
     if smoother == "ssor":
-        return ssor_vcycle_reference(hier, relaxation, cap)
+        return SsorVcycleReference(hier, cap)
     raise ParameterError(f"smoother must be 'jacobi', 'ssor' or 'identity', got {smoother!r}")
 
 
-def probe_preconditioned(
-    hier: Hierarchy, smoother: str = "jacobi", relaxation: float = 1.0, cap: int = DENSE_CAP
-) -> np.ndarray:
+def probe_preconditioned(hier: Hierarchy, smoother: str = "jacobi", cap: int = DENSE_CAP) -> np.ndarray:
     """Assemble ``M^{-1} A`` columnwise: one operator application plus one
     V-cycle from zero per unit vector."""
     op = hier.finest
     _check_cap(op.size, cap, "preconditioned-operator probe")
-    precond = _preconditioner(hier, smoother, relaxation, cap)
+    precond = _preconditioner(hier, smoother, cap)
     out = np.empty((op.size, op.size))
     e = np.zeros(op.size)
     for j in range(op.size):
@@ -141,12 +130,12 @@ def probe_preconditioned(
 
 
 def probe_inverse_preconditioner(
-    hier: Hierarchy, smoother: str = "jacobi", relaxation: float = 1.0, cap: int = DENSE_CAP
+    hier: Hierarchy, smoother: str = "jacobi", cap: int = DENSE_CAP
 ) -> np.ndarray:
     """Assemble ``M^{-1}`` columnwise (one V-cycle from zero per unit vector)."""
     op = hier.finest
     _check_cap(op.size, cap, "preconditioner probe")
-    precond = _preconditioner(hier, smoother, relaxation, cap)
+    precond = _preconditioner(hier, smoother, cap)
     out = np.empty((op.size, op.size))
     e = np.zeros(op.size)
     for j in range(op.size):
@@ -156,20 +145,17 @@ def probe_inverse_preconditioner(
     return out
 
 
-def _smoother_propagator(a: np.ndarray, level, kind: str, omega: float, relaxation: float) -> np.ndarray:
+def _smoother_propagator(a: np.ndarray, level, kind: str, omega: float) -> np.ndarray:
     """Single-sweep error propagator ``I - M_s^{-1} A`` of a smoother."""
     k = a.shape[0]
-    diag = level.diagonal()
     if kind == "jacobi":
         step = effective_jacobi_step(level, omega)
-        return np.eye(k) - step * (a / diag[:, None])
+        return np.eye(k) - step * (a / level.diagonal()[:, None])
     if kind == "ssor":
-        lower = np.tril(a, -1)
-        upper = np.triu(a, 1)
-        d = np.diag(diag)
-        fwd = np.eye(k) - np.linalg.solve(d / relaxation + lower, a)
-        bwd = np.eye(k) - np.linalg.solve(d / relaxation + upper, a)
-        return bwd @ fwd
+        # the sweep maps the error e to S e when the right-hand side is zero
+        s = np.eye(k)
+        SsorVcycleReference._sweep(a, s, 0.0)
+        return s
     raise ParameterError(f"smoother must be 'jacobi' or 'ssor', got {kind!r}")
 
 
@@ -177,7 +163,6 @@ def iteration_matrix(
     hier: Hierarchy,
     g: int | None = None,
     smoother: str = "jacobi",
-    relaxation: float = 1.0,
     cap: int = DENSE_CAP,
 ) -> np.ndarray:
     """Error propagator of the V-cycle as a stationary iteration.
@@ -197,7 +182,7 @@ def iteration_matrix(
         coarse_correction = np.eye(a.shape[0]) - prolong @ (
             (np.eye(prolong.shape[1]) - c) @ np.linalg.solve(dense[gg - 2], prolong.T @ a)
         )
-        s = _smoother_propagator(a, hier.level(gg), smoother, hier.omega, relaxation)
+        s = _smoother_propagator(a, hier.level(gg), smoother, hier.omega)
         c = (
             np.linalg.matrix_power(s, hier.nu2)
             @ coarse_correction
@@ -206,9 +191,7 @@ def iteration_matrix(
     return c
 
 
-def condition_summary(
-    hier: Hierarchy, include_ssor: bool = True, relaxation: float = 1.0, cap: int = DENSE_CAP
-) -> dict:
+def condition_summary(hier: Hierarchy, include_ssor: bool = True, cap: int = DENSE_CAP) -> dict:
     """Spectra of the plain and preconditioned finest-level operators.
 
     Returns a dict of `SpectrumReport` keyed by ``plain``, ``mg-jacobi`` and
@@ -221,7 +204,7 @@ def condition_summary(
     for kind, key in (("jacobi", "mg-jacobi"), ("ssor", "mg-ssor")):
         if kind == "ssor" and not include_ssor:
             continue
-        minv = probe_inverse_preconditioner(hier, kind, relaxation, cap)
+        minv = probe_inverse_preconditioner(hier, kind, cap)
         minv_a = minv @ a
         reports[key] = spectrum(minv_a, similarity=a, label=key)
     return reports

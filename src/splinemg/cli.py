@@ -21,9 +21,11 @@ are mapped through the stored per-axis affine scaling before evaluation.
 Points that map outside the fitted box get ``nan`` (their count goes to
 stderr); non-finite coordinates are an error.
 
-Environment variables ``SPLINEMG_<FLAG>`` (e.g. ``SPLINEMG_LAMBDA``,
-``SPLINEMG_LEVELS``, ``SPLINEMG_TOL``, ``SPLINEMG_DENSE_CAP``) provide
-defaults; explicit flags win.
+Every flag's default is the matching `RunConfig` field default.  ``--precond``
+is `SolverConfig.preconditioner`: every solve goes through `mgcg_solve`,
+which dispatches on it.  ``--dense-cap`` is the hierarchy's ``dense_cap``
+(Cholesky coarse solve up to that size, and the cap of the ``mg-ssor``
+reference and the ``analyze`` probes).
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .errors import (
     ShapeError,
 )
 from .multigrid import build_hierarchy
-from .solvers import SolverConfig, cg_solve, mgcg_solve
+from .solvers import PRECONDITIONERS, SolverConfig, mgcg_solve
 from .system import DENSE_CAP, ScatteredDataset, design_factors, normalize_degrees
 from .tensorops import khatri_rao_tmatvec
 
@@ -58,18 +60,6 @@ EXIT_IO = 3
 EXIT_CAPACITY = 4
 EXIT_NO_CONVERGENCE = 5
 EXIT_NUMERIC = 6
-
-PRECONDITIONERS = ("none", "mg-jacobi", "mg-ssor")
-
-
-def _env(name, cast, fallback):
-    raw = os.environ.get(f"SPLINEMG_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ParameterError(f"bad value for SPLINEMG_{name}: {raw!r}") from exc
 
 
 @dataclass
@@ -99,19 +89,14 @@ class RunConfig:
             raise ParameterError(f"--dim must be >= 1, got {self.dim}")
         if self.levels < 1:
             raise ParameterError(f"--levels must be >= 1, got {self.levels}")
-        if self.lam <= 0:
-            raise ParameterError(f"--lambda must be positive, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ParameterError(f"--lambda must be finite and positive, got {self.lam}")
         normalize_degrees(self.degree, self.dim)
-        if not 0 < self.tol < 1:
-            raise ParameterError(f"--tol must be in (0, 1), got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ParameterError("--max-iter must be >= 1")
+        self.solver_config()  # checks --tol, --max-iter and --precond
         if self.nu1 < 0 or self.nu2 < 0:
             raise ParameterError("--nu1/--nu2 must be non-negative")
         if not 0 < self.omega < 2:
             raise ParameterError(f"--omega must be in (0, 2), got {self.omega}")
-        if self.precond not in PRECONDITIONERS:
-            raise ParameterError(f"--precond must be one of {PRECONDITIONERS}")
         if self.input is None and (self.n < 1 or self.noise < 0):
             raise ParameterError("generator needs --n >= 1 and --noise >= 0")
         if self.grid < 0:
@@ -120,26 +105,45 @@ class RunConfig:
             raise ParameterError("--dense-cap must be >= 1")
         return self
 
+    def solver_config(self, preconditioner: str | None = None) -> SolverConfig:
+        """This run's stopping control and ``--precond`` (or ``preconditioner``)."""
+        return SolverConfig(tolerance=self.tol, max_iterations=self.max_iter,
+                            preconditioner=preconditioner or self.precond)
+
+    def hierarchy(self, data: ScatteredDataset, levels: int | None = None):
+        """`build_hierarchy` on ``data`` with this run's settings (``levels``
+        overrides the finest level)."""
+        return build_hierarchy(
+            data,
+            self.levels if levels is None else levels,
+            self.lam,
+            degrees=self.degree,
+            nu1=self.nu1,
+            nu2=self.nu2,
+            omega=self.omega,
+            dense_cap=self.dense_cap,
+        )
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, default=_env("DIM", int, 2), help="covariate dimension P")
-    parser.add_argument("--levels", type=int, default=_env("LEVELS", int, 5), help="finest grid level G")
-    parser.add_argument("--lambda", dest="lam", type=float, default=_env("LAMBDA", float, 1.0),
+    parser.add_argument("--dim", type=int, default=RunConfig.dim, help="covariate dimension P")
+    parser.add_argument("--levels", type=int, default=RunConfig.levels, help="finest grid level G")
+    parser.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam,
                         help="smoothing parameter")
-    parser.add_argument("--degree", type=int, default=_env("DEGREE", int, 3), help="spline degree (2..5)")
-    parser.add_argument("--tol", type=float, default=_env("TOL", float, 1e-8),
-                        help="relative residual tolerance")
-    parser.add_argument("--max-iter", type=int, default=None, help="iteration cap (default 10*sqrt(K))")
-    parser.add_argument("--nu1", type=int, default=_env("NU1", int, 2), help="pre-smoothing sweeps")
-    parser.add_argument("--nu2", type=int, default=_env("NU2", int, 2), help="post-smoothing sweeps")
-    parser.add_argument("--omega", type=float, default=_env("OMEGA", float, 0.8), help="Jacobi damping")
-    parser.add_argument("--precond", choices=PRECONDITIONERS,
-                        default=_env("PRECOND", str, "mg-jacobi"), help="solver preconditioner")
-    parser.add_argument("--seed", type=int, default=_env("SEED", int, 0), help="generator seed")
-    parser.add_argument("--n", type=int, default=_env("N", int, 100_000), help="generated sample count")
-    parser.add_argument("--noise", type=float, default=_env("NOISE", float, 0.1),
+    parser.add_argument("--degree", type=int, default=RunConfig.degree, help="spline degree (2..5)")
+    parser.add_argument("--tol", type=float, default=RunConfig.tol, help="relative residual tolerance")
+    parser.add_argument("--max-iter", type=int, default=RunConfig.max_iter,
+                        help="iteration cap (default 10*sqrt(K))")
+    parser.add_argument("--nu1", type=int, default=RunConfig.nu1, help="pre-smoothing sweeps")
+    parser.add_argument("--nu2", type=int, default=RunConfig.nu2, help="post-smoothing sweeps")
+    parser.add_argument("--omega", type=float, default=RunConfig.omega, help="Jacobi damping")
+    parser.add_argument("--precond", choices=PRECONDITIONERS, default=RunConfig.precond,
+                        help="solver preconditioner")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="generator seed")
+    parser.add_argument("--n", type=int, default=RunConfig.n, help="generated sample count")
+    parser.add_argument("--noise", type=float, default=RunConfig.noise,
                         help="generated noise std deviation")
-    parser.add_argument("--dense-cap", type=int, default=_env("DENSE_CAP", int, DENSE_CAP),
+    parser.add_argument("--dense-cap", type=int, default=RunConfig.dense_cap,
                         help="largest dimension assembled densely")
 
 
@@ -202,18 +206,6 @@ def _apply_scale(points: np.ndarray, scale) -> np.ndarray:
     return (points - lo) / (hi - lo)
 
 
-def _solve(hier, cfg: RunConfig):
-    solver_cfg = SolverConfig(
-        tolerance=cfg.tol, max_iterations=cfg.max_iter, preconditioner=cfg.precond
-    )
-    if cfg.precond == "none":
-        return cg_solve(hier.finest, hier.finest.rhs(), solver_cfg)
-    if cfg.precond == "mg-ssor":
-        precond = analysis.ssor_vcycle_reference(hier, cap=cfg.dense_cap)
-        return mgcg_solve(hier, cfg=solver_cfg, preconditioner=precond)
-    return mgcg_solve(hier, cfg=solver_cfg)
-
-
 def _grid_points(num_axes: int, per_axis: int) -> np.ndarray:
     axes = [np.linspace(0.0, 1.0, per_axis) for _ in range(num_axes)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -233,17 +225,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     data, scale = _load_points(cfg)
     if data.num_axes != cfg.dim and cfg.input is not None:
         cfg.dim = data.num_axes
-    hier = build_hierarchy(
-        data,
-        cfg.levels,
-        cfg.lam,
-        degrees=cfg.degree,
-        nu1=cfg.nu1,
-        nu2=cfg.nu2,
-        omega=cfg.omega,
-        dense_cap=cfg.dense_cap,
-    )
-    report_solve = _solve(hier, cfg)
+    hier = cfg.hierarchy(data)
+    report_solve = mgcg_solve(hier, cfg=cfg.solver_config())
     alpha = report_solve.coefficients
     op = hier.finest
     residuals = data.responses - op.fitted_values(alpha)
@@ -311,25 +294,7 @@ def _cmd_generate(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        dim=args.dim,
-        levels=args.levels,
-        lam=args.lam,
-        degree=args.degree,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        nu1=args.nu1,
-        nu2=args.nu2,
-        omega=args.omega,
-        precond=args.precond,
-        seed=args.seed,
-        n=args.n,
-        noise=args.noise,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        grid=getattr(args, "grid", 0),
-        dense_cap=args.dense_cap,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)})
 
 
 def _cmd_fit(args) -> int:
@@ -397,10 +362,7 @@ def _cmd_predict(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _config_from_args(args).validate()
     data, _ = _load_points(cfg)
-    hier = build_hierarchy(
-        data, cfg.levels, cfg.lam, degrees=cfg.degree,
-        nu1=cfg.nu1, nu2=cfg.nu2, omega=cfg.omega, dense_cap=cfg.dense_cap,
-    )
+    hier = cfg.hierarchy(data)
     reports = analysis.condition_summary(
         hier, include_ssor=not args.skip_ssor, cap=cfg.dense_cap
     )
@@ -442,13 +404,9 @@ def _cmd_bench(args) -> int:
     header = ("G", "K", "cg_iters", "cg_seconds", "mgcg_iters", "mgcg_seconds")
     print("\t".join(header))
     for g in range(args.g_min, args.g_max + 1):
-        hier = build_hierarchy(
-            data, g, cfg.lam, degrees=cfg.degree,
-            nu1=cfg.nu1, nu2=cfg.nu2, omega=cfg.omega, dense_cap=cfg.dense_cap,
-        )
-        solver_cfg = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iter)
-        plain = cg_solve(hier.finest, hier.finest.rhs(), solver_cfg)
-        mg = mgcg_solve(hier, cfg=solver_cfg)
+        hier = cfg.hierarchy(data, levels=g)
+        plain = mgcg_solve(hier, cfg=cfg.solver_config("none"))
+        mg = mgcg_solve(hier, cfg=cfg.solver_config())
         row = (g, hier.finest.size, plain.iterations, round(plain.wall_time, 3),
                mg.iterations, round(mg.wall_time, 3))
         rows.append(row)

@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .bsplines import subdivision_matrix
-from .errors import CapacityError, NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 from .system import (
     DENSE_CAP,
     BandPattern,
@@ -35,6 +35,10 @@ from .system import (
     normalize_degrees,
 )
 from .tensorops import kron_matvec, kron_matvec_transposed, stored_size
+
+# relative residual tolerance of the nested CG that solves a coarsest level
+# above the dense cap
+COARSE_CG_TOL = 1e-10
 
 
 class Hierarchy:
@@ -51,19 +55,22 @@ class Hierarchy:
         Pre-/post-smoothing sweeps of the V-cycle.
     omega : float
         Jacobi damping factor.
+    dense_cap : int
+        Largest dimension assembled densely: the coarsest level is solved by
+        Cholesky when its size is at most ``dense_cap``, otherwise by nested
+        CG to the relative tolerance ``COARSE_CG_TOL``.
     """
 
-    def __init__(self, levels, transfers, nu1, nu2, omega, coarse_mode, coarse_tol):
+    def __init__(self, levels, transfers, nu1, nu2, omega, dense_cap=DENSE_CAP):
         self.levels = levels
         self.transfers = transfers
         self.nu1 = int(nu1)
         self.nu2 = int(nu2)
         self.omega = float(omega)
-        self.coarse_mode = coarse_mode
-        self.coarse_tol = float(coarse_tol)
+        self.dense_cap = int(dense_cap)
         self._coarse_factor = None
-        if coarse_mode == "direct":
-            a1 = levels[0].assemble_dense()
+        if levels[0].size <= self.dense_cap:
+            a1 = levels[0].assemble_dense(self.dense_cap)
             try:
                 self._coarse_factor = scipy.linalg.cho_factor(a1)
             except scipy.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
@@ -135,15 +142,13 @@ def build_hierarchy(
     nu2: int = 2,
     omega: float = 0.8,
     dense_cap: int = DENSE_CAP,
-    coarse_mode: str = "auto",
-    coarse_tol: float = 1e-10,
 ) -> Hierarchy:
     """Build level operators, transfer factors and the coarse factorization.
 
     The finest level is matrix-free; coarser levels are assembled into CSR
-    by the size rule of the module docstring.  ``coarse_mode`` is ``direct``
-    (Cholesky of the assembled coarsest operator), ``cg`` (nested CG) or
-    ``auto`` (direct when the coarsest dimension fits under ``dense_cap``).
+    by the size rule of the module docstring.  The coarsest level is
+    factorized by Cholesky when its dimension is at most ``dense_cap`` and
+    solved by nested CG otherwise.
     """
     if num_levels < 1:
         raise ParameterError(f"need at least one level, got {num_levels}")
@@ -173,16 +178,7 @@ def build_hierarchy(
         levels[g - 1] = LevelOperator(dataset, g, lam, degrees, matrix=matrix)
     for g in range(assembled + 1, num_levels + 1):
         levels[g - 1] = build_level(dataset, g, lam, degrees)
-    if coarse_mode == "auto":
-        coarse_mode = "direct" if levels[0].size <= dense_cap else "cg"
-    elif coarse_mode == "direct" and levels[0].size > dense_cap:
-        raise CapacityError(
-            f"coarse dimension {levels[0].size} exceeds dense cap {dense_cap}; "
-            "use coarse_mode='cg'"
-        )
-    elif coarse_mode not in ("direct", "cg"):
-        raise ParameterError(f"unknown coarse_mode {coarse_mode!r}")
-    return Hierarchy(levels, transfers, nu1, nu2, omega, coarse_mode, coarse_tol)
+    return Hierarchy(levels, transfers, nu1, nu2, omega, dense_cap)
 
 
 def jacobi_spectral_bound(level) -> float:
@@ -308,7 +304,7 @@ def coarse_solve(hier: Hierarchy, b) -> np.ndarray:
         raise ShapeError(f"expected vector of length {coarse.size}, got {b.shape}")
     if hier._coarse_factor is not None:
         return scipy.linalg.cho_solve(hier._coarse_factor, b)
-    return _plain_cg(coarse.apply, b, hier.coarse_tol, 20 * coarse.size)
+    return _plain_cg(coarse.apply, b, COARSE_CG_TOL, 20 * coarse.size)
 
 
 def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Conjugate gradients, plain and with a multigrid V-cycle preconditioner.
 
 Both solvers share one update loop; plain CG is the preconditioner-free
-case.  The loop keeps only scalar history of the previous preconditioned
-residual product, so a solve holds four (plain) or five (preconditioned)
-level-sized vectors besides the right-hand side.
+case.  `mgcg_solve` selects the preconditioner from
+``SolverConfig.preconditioner``.  The loop keeps only scalar history of the
+previous preconditioned residual product, so a solve holds four (plain) or
+five (preconditioned) level-sized vectors besides the right-hand side.
 """
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ from math import ceil, sqrt
 
 import numpy as np
 
+from .analysis import SsorVcycleReference
 from .errors import NumericError, ParameterError
 from .multigrid import Hierarchy, v_cycle
 from .system import LevelOperator
 
 MAX_ITERATIONS_CAP = 50_000
+PRECONDITIONERS = ("none", "mg-jacobi", "mg-ssor")
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,10 @@ class SolverConfig:
     """Stopping control and preconditioner selection.
 
     ``max_iterations=None`` resolves to ``10 * sqrt(K)`` capped at 50000.
-    ``preconditioner`` is ``'none'``, ``'mg-jacobi'`` or ``'mg-ssor'``.
+    ``preconditioner`` is one of ``PRECONDITIONERS`` and is read by
+    `mgcg_solve`: ``'none'`` (plain CG), ``'mg-jacobi'`` (V-cycle with damped
+    Jacobi sweeps) or ``'mg-ssor'`` (V-cycle with the dense symmetric
+    Gauss-Seidel sweeps of `analysis.SsorVcycleReference`).
     """
 
     tolerance: float = 1e-8
@@ -37,8 +43,10 @@ class SolverConfig:
             raise ParameterError(f"tolerance must be in (0, 1), got {self.tolerance}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
-        if self.preconditioner not in ("none", "mg-jacobi", "mg-ssor"):
-            raise ParameterError(f"unknown preconditioner {self.preconditioner!r}")
+        if self.preconditioner not in PRECONDITIONERS:
+            raise ParameterError(
+                f"unknown preconditioner {self.preconditioner!r}; expected one of {PRECONDITIONERS}"
+            )
 
     def resolved_max_iterations(self, size: int) -> int:
         if self.max_iterations is not None:
@@ -138,7 +146,11 @@ def _pcg(apply_fn, b, precond, tol, maxiter, aux_reals, label):
 
 
 def cg_solve(op: LevelOperator, b, cfg: SolverConfig | None = None) -> SolveReport:
-    """Plain CG on one level operator."""
+    """Plain CG on one level operator.
+
+    Reads only the stopping fields of ``cfg``; ``cfg.preconditioner`` is
+    ignored here (it is `mgcg_solve`'s switch).
+    """
     cfg = cfg or SolverConfig(preconditioner="none")
     window = op.design.rel.shape[0] if hasattr(op, "design") else 0
     return _pcg(
@@ -155,20 +167,26 @@ def cg_solve(op: LevelOperator, b, cfg: SolverConfig | None = None) -> SolveRepo
 def mgcg_solve(
     hier: Hierarchy, y=None, cfg: SolverConfig | None = None, preconditioner=None
 ) -> SolveReport:
-    """Multigrid-preconditioned CG on the finest level.
+    """CG on the finest level, preconditioned as ``cfg.preconditioner`` says.
 
     The right-hand side is the finest-level ``B'y`` (training responses by
-    default); each preconditioner application is one V-cycle from a zero
-    initial guess.  ``preconditioner`` may override the default Jacobi
-    V-cycle with any callable ``r -> z`` (used for the dense-smoother
-    reference and for tests).
+    default).  ``'mg-jacobi'`` and ``'mg-ssor'`` apply one V-cycle from a
+    zero initial guess per iteration (the latter densifies every level,
+    guarded by ``hier.dense_cap``); ``'none'`` returns `cg_solve`'s report
+    (label ``cg``).  An explicit ``preconditioner`` callable ``r -> z``
+    overrides the setting.
     """
     cfg = cfg or SolverConfig()
     op = hier.finest
     b = op.rhs(y)
     if preconditioner is None:
-        def preconditioner(r):
-            return v_cycle(hier, None, r, hier.num_levels)
+        if cfg.preconditioner == "none":
+            return cg_solve(op, b, cfg)
+        if cfg.preconditioner == "mg-ssor":
+            preconditioner = SsorVcycleReference(hier, cap=hier.dense_cap)
+        else:
+            def preconditioner(r):
+                return v_cycle(hier, None, r, hier.num_levels)
     return _pcg(
         op.apply,
         b,

@@ -265,8 +265,8 @@ class LevelOperator:
 
     def __init__(self, dataset: ScatteredDataset, level: int, lam: float, degrees=3,
                  matrix=None):
-        if lam <= 0:
-            raise ParameterError(f"smoothing parameter must be positive, got {lam}")
+        if not (np.isfinite(lam) and lam > 0):
+            raise ParameterError(f"smoothing parameter must be finite and positive, got {lam}")
         self.degrees = normalize_degrees(degrees, dataset.num_axes)
         self.dataset = dataset
         self.level = int(level)

@@ -11,7 +11,6 @@ from splinemg.analysis import (
     probe_preconditioned,
     spectral_radius,
     spectrum,
-    ssor_vcycle_reference,
 )
 
 
@@ -121,7 +120,7 @@ class TestSsorReference:
         hier4 = build_hierarchy(small_dataset_2d, 4, 1.0)
         cfg = SolverConfig(tolerance=1e-8)
         jac = mgcg_solve(hier4, cfg=cfg)
-        ssor = mgcg_solve(hier4, cfg=cfg, preconditioner=ssor_vcycle_reference(hier4))
+        ssor = mgcg_solve(hier4, cfg=cfg, preconditioner=SsorVcycleReference(hier4))
         assert ssor.converged and jac.converged
         assert ssor.iterations <= jac.iterations
 
@@ -129,8 +128,28 @@ class TestSsorReference:
         hier0 = build_hierarchy(small_dataset_2d, 3, 1.0, nu1=0, nu2=0)
         b = rng.standard_normal(hier0.finest.size)
         jacobi_result = v_cycle(hier0, None, b)
-        ssor_result = ssor_vcycle_reference(hier0)(b)
+        ssor_result = SsorVcycleReference(hier0)(b)
         npt.assert_allclose(jacobi_result, ssor_result, atol=1e-12 * max(1.0, np.abs(b).max()))
+
+    def test_sweep_matches_gauss_seidel_loop(self, rng):
+        k = 40
+        m = rng.standard_normal((k, k))
+        a = m @ m.T + k * np.eye(k)
+        b = rng.standard_normal(k)
+        start = rng.standard_normal(k)
+        expected = start.copy()
+        for order in (range(k), range(k - 1, -1, -1)):
+            for i in order:
+                expected[i] += (b[i] - a[i] @ expected) / a[i, i]
+        alpha = start.copy()
+        SsorVcycleReference._sweep(a, alpha, b)
+        npt.assert_allclose(alpha, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+        # several columns at once are swept like each column alone
+        second = 2.0 * start
+        block = np.column_stack([start, second])
+        SsorVcycleReference._sweep(a, block, np.column_stack([b, b]))
+        SsorVcycleReference._sweep(a, second, b)
+        npt.assert_allclose(block, np.column_stack([alpha, second]), rtol=1e-13)
 
     def test_sweep_exact_on_diagonal_matrix(self, hier, rng):
         ref = SsorVcycleReference(hier)
@@ -139,7 +158,3 @@ class TestSsorReference:
         alpha = np.zeros(12)
         ref._sweep(d, alpha, b)
         npt.assert_allclose(alpha, b / np.diag(d), atol=1e-14)
-
-    def test_relaxation_validation(self, hier):
-        with pytest.raises(Exception):
-            SsorVcycleReference(hier, relaxation=2.5)

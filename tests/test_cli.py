@@ -197,6 +197,19 @@ class TestFit:
         code = run(["fit", *BASE_FIT[:-4], "--lambda", "-1", "--output", tmp_path / "c"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["fit", "generate", "bench"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, command):
+        code = run([command, "--dim", 1, "--n", 50, "--seed", -1, "--levels", 2,
+                    "--output", tmp_path / "s"])
+        assert code == cli.EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exit_code(self, tmp_path, capsys, lam):
+        code = run(["fit", *BASE_FIT[:-4], "--lambda", lam, "--output", tmp_path / "l"])
+        assert code == cli.EXIT_CONFIG
+        assert "--lambda must be finite and positive" in capsys.readouterr().err
+
     def test_linear_degree_rejected_before_data_work(self, tmp_path, monkeypatch, capsys):
         def no_data(cfg):
             raise AssertionError("data loaded before the degree check")
@@ -267,19 +280,6 @@ class TestPredict:
         code = run(["predict", "--model", fit_dir, "--input", queries,
                     "--output", tmp_path / "p.txt"])
         assert code == cli.EXIT_CONFIG
-
-
-class TestEnvDefaults:
-    def test_env_sets_default_flag_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPLINEMG_LEVELS", "2")
-        out = tmp_path / "env"
-        assert run(["fit", *BASE_FIT[:8], "--output", out]) == 0  # no --levels flag
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["levels"] == 2
-        out2 = tmp_path / "env2"
-        assert run(["fit", *BASE_FIT[:8], "--levels", 3, "--output", out2]) == 0
-        report2 = json.loads((out2 / "report.json").read_text())
-        assert report2["config"]["levels"] == 3
 
 
 class TestAnalyze:

@@ -43,6 +43,7 @@ class TestGenerateDataset:
         {"num_axes": 0, "n": 5},
         {"num_axes": 2, "n": 0},
         {"num_axes": 2, "n": 5, "noise": -0.1},
+        {"num_axes": 2, "n": 5, "seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):

@@ -170,8 +170,9 @@ class TestCoarseSolve:
         npt.assert_array_equal(coarse_solve(hier_2d, np.zeros(25)), np.zeros(25))
 
     def test_cg_fallback_agrees_with_direct(self, small_dataset_2d, rng):
-        direct = build_hierarchy(small_dataset_2d, 2, 1.0, coarse_mode="direct")
-        nested = build_hierarchy(small_dataset_2d, 2, 1.0, coarse_mode="cg")
+        direct = build_hierarchy(small_dataset_2d, 2, 1.0)
+        nested = build_hierarchy(small_dataset_2d, 2, 1.0, dense_cap=10)
+        assert direct._coarse_factor is not None and nested._coarse_factor is None
         b = rng.standard_normal(25)
         xd = coarse_solve(direct, b)
         xc = coarse_solve(nested, b)
@@ -307,7 +308,7 @@ class TestAssembledLevels:
             tuple(subdivision_matrix(c, f) for c, f in zip(levels[i].spaces, levels[i + 1].spaces))
             for i in range(4)
         ]
-        reference = Hierarchy(levels, transfers, 2, 2, 0.8, "direct", 1e-10)
+        reference = Hierarchy(levels, transfers, 2, 2, 0.8)
         cfg = SolverConfig(tolerance=1e-8)
         new, old = mgcg_solve(hier, cfg=cfg), mgcg_solve(reference, cfg=cfg)
         assert new.converged and old.converged

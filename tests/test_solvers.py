@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from splinemg import (
+    CapacityError,
     NumericError,
     ParameterError,
     SolverConfig,
@@ -11,6 +12,7 @@ from splinemg import (
     cg_solve,
     mgcg_solve,
 )
+from splinemg.analysis import SsorVcycleReference
 from oracles import DenseOperator
 
 
@@ -120,12 +122,38 @@ class TestMgcg:
 
     def test_identity_preconditioner_reproduces_plain_cg(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 3, 1.0)
-        cfg = SolverConfig(tolerance=1e-10, max_iterations=2000)
+        # the explicit callable overrides the configured preconditioner
+        cfg = SolverConfig(tolerance=1e-10, max_iterations=2000, preconditioner="mg-ssor")
         plain = cg_solve(hier.finest, hier.finest.rhs(), cfg)
         ident = mgcg_solve(hier, cfg=cfg, preconditioner=lambda r: r.copy())
         assert ident.iterations == plain.iterations
         npt.assert_allclose(ident.coefficients, plain.coefficients, atol=1e-12)
         npt.assert_allclose(ident.residual_history, plain.residual_history, rtol=1e-12)
+
+    def test_precond_none_is_plain_cg(self, small_dataset_2d):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0)
+        cfg = SolverConfig(tolerance=1e-10, max_iterations=2000, preconditioner="none")
+        rep = mgcg_solve(hier, cfg=cfg)
+        plain = cg_solve(hier.finest, hier.finest.rhs(), cfg)
+        assert rep.label == plain.label == "cg"
+        assert rep.iterations == plain.iterations
+        assert rep.peak_auxiliary_memory_estimate == plain.peak_auxiliary_memory_estimate
+        npt.assert_array_equal(rep.coefficients, plain.coefficients)
+        npt.assert_array_equal(rep.residual_history, plain.residual_history)
+
+    def test_precond_mg_ssor_is_dense_reference(self, small_dataset_2d):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0)
+        cfg = SolverConfig(tolerance=1e-10, preconditioner="mg-ssor")
+        rep = mgcg_solve(hier, cfg=cfg)
+        ref = mgcg_solve(hier, cfg=cfg, preconditioner=SsorVcycleReference(hier))
+        assert rep.label == ref.label == "mgcg"
+        assert rep.iterations == ref.iterations
+        npt.assert_array_equal(rep.coefficients, ref.coefficients)
+
+    def test_precond_mg_ssor_respects_dense_cap(self, small_dataset_2d):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0, dense_cap=100)
+        with pytest.raises(CapacityError):
+            mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-ssor"))
 
     def test_explicit_responses_override(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 3, 1.0)

@@ -9,6 +9,7 @@ from splinemg import (
     ParameterError,
     ScatteredDataset,
     ShapeError,
+    build_hierarchy,
     build_level,
     build_space,
     gram_matrix,
@@ -51,6 +52,13 @@ class TestConstruction:
     def test_rejects_nonpositive_lambda(self, small_dataset_2d):
         with pytest.raises(ParameterError):
             build_level(small_dataset_2d, 2, 0.0)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lambda(self, small_dataset_2d, lam):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            build_level(small_dataset_2d, 2, lam)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            build_hierarchy(small_dataset_2d, 3, lam)
 
     def test_rejects_out_of_domain_points(self):
         pts = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, -0.2]])
