@@ -2,7 +2,6 @@
 B-spline smoothing of scattered multivariate data."""
 
 from .bsplines import (
-    BandedSymmetricMatrix,
     BasisActivation,
     SplineSpace1D,
     build_space,
@@ -45,7 +44,6 @@ from .tensorops import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedSymmetricMatrix",
     "BasisActivation",
     "CapacityError",
     "DENSE_CAP",

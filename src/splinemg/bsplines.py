@@ -6,7 +6,7 @@ knots beyond each end, so that every basis function is a translate of the
 cardinal B-spline and the dyadic two-scale relation holds exactly.  The module
 provides basis/derivative evaluation, Gram matrices of derivatives, and the
 refinement (subdivision) matrix between consecutive levels.  Both matrices
-are banded and are handed to the solver as CSR matrices built from their
+are banded and are returned only as CSR matrices built straight from their
 bands, O(dim * degree) entries each.
 """
 from __future__ import annotations
@@ -192,44 +192,7 @@ def eval_basis(space: SplineSpace1D, x: float, deriv: int = 0) -> BasisActivatio
     return BasisActivation(first_index=int(offsets[0]), values=values[0])
 
 
-@dataclass(frozen=True)
-class BandedSymmetricMatrix:
-    """Symmetric banded matrix stored by upper diagonals.
-
-    ``bands[d, j]`` holds entry ``(j, j + d)`` for ``d = 0..bandwidth``;
-    entries beyond ``|i - j| > bandwidth`` are zero.
-    """
-
-    dim: int
-    bandwidth: int
-    bands: np.ndarray
-
-    def tocsr(self) -> scipy.sparse.csr_array:
-        """CSR matrix with the ``2 * bandwidth + 1`` diagonals (clipped at the
-        corners) stored row by row in column order."""
-        q = self.bandwidth
-        rows = np.repeat(np.arange(self.dim), 2 * q + 1)
-        cols = rows + np.tile(np.arange(-q, q + 1), self.dim)
-        keep = (cols >= 0) & (cols < self.dim)
-        rows, cols = rows[keep], cols[keep]
-        data = self.bands[np.abs(cols - rows), np.minimum(rows, cols)]
-        indptr = np.searchsorted(rows, np.arange(self.dim + 1))
-        return scipy.sparse.csr_array((data, cols, indptr), shape=(self.dim, self.dim))
-
-    def toarray(self) -> np.ndarray:
-        """Densify to a ``dim x dim`` symmetric array (tests and diagnostics)."""
-        a = np.zeros((self.dim, self.dim))
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.dim - d)
-            a[idx, idx + d] = self.bands[d, : self.dim - d]
-            a[idx + d, idx] = self.bands[d, : self.dim - d]
-        return a
-
-    def diagonal(self) -> np.ndarray:
-        return self.bands[0].copy()
-
-
-def gram_matrix(space: SplineSpace1D, deriv: int) -> BandedSymmetricMatrix:
+def gram_matrix(space: SplineSpace1D, deriv: int) -> scipy.sparse.csr_array:
     """Gram matrix of r-th basis derivatives over the domain interval.
 
     Entry ``(j, l)`` is the integral of the product of the r-th derivatives
@@ -242,6 +205,10 @@ def gram_matrix(space: SplineSpace1D, deriv: int) -> BandedSymmetricMatrix:
     call and all local ``(q+1) x (q+1)`` Grams come from one batched product.
     Each band entry sums its intervals' contributions in ascending interval
     order, so the bands equal those of a loop over the intervals bit for bit.
+
+    Returns the symmetric ``dim x dim`` matrix as CSR, built straight from
+    those band sums: the ``2 * degree + 1`` diagonals, clipped at the
+    corners, stored row by row in column order.
     """
     q = space.degree
     if not 0 <= deriv <= q:
@@ -263,7 +230,13 @@ def gram_matrix(space: SplineSpace1D, deriv: int) -> BandedSymmetricMatrix:
         # adds the intervals in ascending order
         for i in range(q - d, -1, -1):
             bands[d, i : i + intervals] += local[:, i, i + d]
-    return BandedSymmetricMatrix(dim=space.dim, bandwidth=q, bands=bands)
+    rows = np.repeat(np.arange(space.dim), 2 * q + 1)
+    cols = rows + np.tile(np.arange(-q, q + 1), space.dim)
+    keep = (cols >= 0) & (cols < space.dim)
+    rows, cols = rows[keep], cols[keep]
+    data = bands[np.abs(cols - rows), np.minimum(rows, cols)]
+    indptr = np.searchsorted(rows, np.arange(space.dim + 1))
+    return scipy.sparse.csr_array((data, cols, indptr), shape=(space.dim, space.dim))
 
 
 def subdivision_matrix(coarse: SplineSpace1D, fine: SplineSpace1D) -> scipy.sparse.csr_array:

@@ -87,19 +87,24 @@ def read_table(path) -> np.ndarray:
     # one header, and the first data line, which decides the delimiter.
     skip = 0
     first = ""
+    header_checked = False
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 skip += 1
                 continue
-            try:
-                float(stripped.replace(",", " ").split()[0])
-            except ValueError:
-                skip += 1
-                line = next(fh, "")
+            if not header_checked:
+                header_checked = True
+                try:
+                    float(stripped.replace(",", " ").split()[0])
+                except ValueError:
+                    skip += 1
+                    continue
             first = line
             break
+    if not first:
+        raise ParameterError(f"{path}: no data rows")
     delimiter = "," if "," in first else None
     return np.loadtxt(path, delimiter=delimiter, skiprows=skip, ndmin=2)
 

@@ -6,7 +6,9 @@ positions per axis, and the kernels walk exactly those windows, ``CHUNK``
 points at a time with vectorized numpy (fancy indexing + ``bincount``).
 Every product with the design windows goes through `_window_weights`.  The
 kernels are sequential and bit-deterministic.  `cell_gram` assembles the
-data term of a level once, from points grouped by grid cell.
+data term of a level once, from points grouped by grid cell, into sparse
+storage; it is the only assembly of the data term (dense copies are made
+from its result).
 """
 from __future__ import annotations
 
@@ -62,29 +64,6 @@ def gram_matvec(vals, base, rel, digits, x, out):
         idx = base[lo:hi, None] + rel[None, :]
         s = (w * x[idx]).sum(axis=1)
         out += np.bincount(idx.ravel(), weights=(s[:, None] * w).ravel(), minlength=out.shape[0])
-    return out
-
-
-def dense_gram(vals, base, rel, digits, size):
-    """Dense ``A A'`` of shape (size, size), summed point by point.
-
-    Each entry adds its per-point products in point order, as `gram_matvec`
-    does within one chunk, so that below ``CHUNK`` points the result equals
-    the probed columns of `gram_matvec` bit for bit.  Only the upper
-    triangle is accumulated (``rel`` increases along the window, so window
-    pair ``c0 <= c1`` lands on or above the diagonal) and then mirrored.
-    """
-    out = np.zeros((size, size))
-    flat = out.reshape(-1)
-    c0, c1 = np.triu_indices(rel.shape[0])
-    pair = rel[c0] * size + rel[c1]
-    step = max(1, CHUNK // rel.shape[0])
-    for lo in range(0, base.shape[0], step):
-        hi = min(lo + step, base.shape[0])
-        w = _window_weights(vals, digits, lo, hi)
-        idx = (base[lo:hi] * (size + 1))[:, None] + pair[None, :]
-        np.add.at(flat, idx.ravel(), (w[:, c0] * w[:, c1]).ravel())
-    out += np.triu(out, 1).T
     return out
 
 

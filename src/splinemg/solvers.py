@@ -172,18 +172,21 @@ def mgcg_solve(
     The right-hand side is the finest-level ``B'y`` (training responses by
     default).  ``'mg-jacobi'`` and ``'mg-ssor'`` apply one V-cycle from a
     zero initial guess per iteration (the latter densifies every level,
-    guarded by ``hier.dense_cap``); ``'none'`` returns `cg_solve`'s report
-    (label ``cg``).  An explicit ``preconditioner`` callable ``r -> z``
-    overrides the setting.
+    guarded by ``hier.dense_cap``, and its memory estimate counts those
+    dense matrices); ``'none'`` returns `cg_solve`'s report (label ``cg``).
+    An explicit ``preconditioner`` callable ``r -> z`` overrides the setting
+    and is not counted in the memory estimate.
     """
     cfg = cfg or SolverConfig()
     op = hier.finest
     b = op.rhs(y)
+    aux_reals = hier.workspace_reals() + b.size
     if preconditioner is None:
         if cfg.preconditioner == "none":
             return cg_solve(op, b, cfg)
         if cfg.preconditioner == "mg-ssor":
             preconditioner = SsorVcycleReference(hier, cap=hier.dense_cap)
+            aux_reals += sum(m.size for m in preconditioner.matrices)
         else:
             def preconditioner(r):
                 return v_cycle(hier, None, r, hier.num_levels)
@@ -193,6 +196,6 @@ def mgcg_solve(
         preconditioner,
         cfg.tolerance,
         cfg.resolved_max_iterations(op.size),
-        aux_reals=hier.workspace_reals() + b.size,
+        aux_reals=aux_reals,
         label="mgcg",
     )

@@ -12,8 +12,10 @@ by Kronecker contractions; the finest level always uses it, so the finest
 coefficient matrix is never formed.  The assembled one (``"csr"``) holds
 ``B'B + lam * R`` as one CSR matrix in the Kronecker band pattern (per axis
 the ``2q + 1`` diagonals of a degree-``q`` space, `BandPattern`) and keeps
-no per-point data; `LevelOperator.assemble` builds it from a level's
-windows by cell-grouped products, and the multigrid hierarchy derives coarser ones by
+no per-point data.  One builder, `LevelOperator._band_csr`, forms that
+matrix from a level's windows (cell-grouped data products plus the penalty
+bands): `LevelOperator.assemble` stores its result, `assemble_dense`
+densifies it, and the multigrid hierarchy derives coarser levels by
 Galerkin products.
 """
 from __future__ import annotations
@@ -100,7 +102,8 @@ class ScatteredDataset:
 @dataclass(frozen=True)
 class PenaltyTerm:
     """One second-order roughness term: derivative orders per axis, its
-    multinomial weight, and the per-axis Gram factors (CSR, banded)."""
+    multinomial weight, and the per-axis Gram factors as returned by
+    `gram_matrix` (banded CSR, shared between terms of equal axis order)."""
 
     orders: tuple
     weight: float
@@ -118,7 +121,7 @@ def penalty_terms(spaces) -> list[PenaltyTerm]:
 
     def gram(p, r):
         if (p, r) not in grams:
-            grams[(p, r)] = gram_matrix(spaces[p], r).tocsr()
+            grams[(p, r)] = gram_matrix(spaces[p], r)
         return grams[(p, r)]
 
     terms = []
@@ -289,16 +292,24 @@ class LevelOperator:
         return "windows" if self.matrix is None else "csr"
 
     def assemble(self) -> "LevelOperator":
-        """Switch this level to CSR storage, built from its own windows and
-        penalty factors, and drop the windows; returns the level.
+        """Switch this level to CSR storage, built by `_band_csr` from its
+        own windows and penalty factors, and drop the windows; returns the
+        level."""
+        if self.matrix is None:
+            self.matrix = self._band_csr()
+            self.design = design_factors(self.spaces, self.dataset.points[:0])
+            self._diag = None
+        return self
+
+    def _band_csr(self) -> scipy.sparse.csr_array:
+        """``B'B + lam * R`` of a windows level as CSR in the `BandPattern`;
+        the level itself is left unchanged.
 
         The data term is summed cell by cell (`kernels.cell_gram`) straight
-        into the stored entries of the `BandPattern`, and the penalty terms
-        are added from their 1D band arrays.  No design matrix and no dense
+        into the stored entries, and the penalty terms are added from their
+        1D band arrays by `BandPattern.tocsr`.  No design matrix and no dense
         ``size x size`` array is formed.
         """
-        if self.matrix is not None:
-            return self
         pattern = BandPattern(self.spaces)
         f = self.design
 
@@ -313,10 +324,7 @@ class LevelOperator:
             axes = [pattern.axis_band(g, p) for p, g in enumerate(term.factors)]
             axes[0] *= self.lam * term.weight  # scale the small factor, not the product
             kron_terms.append(axes)
-        self.matrix = pattern.tocsr(data, kron_terms)
-        self.design = design_factors(self.spaces, self.dataset.points[:0])
-        self._diag = None
-        return self
+        return pattern.tocsr(data, kron_terms)
 
     # -- core products -----------------------------------------------------
 
@@ -403,18 +411,13 @@ class LevelOperator:
 
     def assemble_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
         """Densify the operator (guarded by ``cap``; the coarse Cholesky
-        factor and diagnostics only)."""
+        factor and diagnostics only): ``toarray()`` of the stored CSR, or of
+        `_band_csr` on a windows level, which stays matrix-free."""
         if self.size > cap:
             raise CapacityError(
                 f"dense assembly of a {self.size}x{self.size} operator exceeds cap {cap}"
             )
-        if self.matrix is not None:
-            return self.matrix.toarray()
-        f = self.design
-        a = kernels.dense_gram(f.values, f.base, f.rel, f.digits, self.size)
-        for term in self.penalty:
-            a += (self.lam * term.weight) * reduce(np.kron, [g.toarray() for g in term.factors])
-        return a
+        return (self._band_csr() if self.matrix is None else self.matrix).toarray()
 
     def memory_reals(self) -> int:
         """Count of the stored operator numbers, each counted as one float64

@@ -46,7 +46,9 @@ class TestSpectrum:
 class TestProbe:
     def test_identity_preconditioner_probe_is_dense_operator(self, hier):
         probe = probe_preconditioned(hier, smoother="identity")
-        npt.assert_array_equal(probe, hier.finest.assemble_dense())
+        a = hier.finest.assemble_dense()
+        # the probe sums the data term in point order, the assembly cell by cell
+        npt.assert_allclose(probe, a, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max()))
 
     def test_probe_self_consistency(self, hier, rng):
         probe = probe_preconditioned(hier, smoother="jacobi")

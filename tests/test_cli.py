@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,9 @@ from splinemg import cli
 def run(argv):
     return cli.main([str(a) for a in argv])
 
+
+# an empty file, comments only, and a header line with comments
+NO_DATA_TABLES = ["", "# x1 x2 y\n\n# nothing\n", "# generated\nx1 x2 y\n\n"]
 
 BASE_FIT = ["--dim", 2, "--n", 400, "--noise", 0.1, "--seed", 5,
             "--levels", 3, "--lambda", 0.5, "--tol", "1e-9"]
@@ -197,6 +201,17 @@ class TestFit:
         code = run(["fit", *BASE_FIT[:-4], "--lambda", "-1", "--output", tmp_path / "c"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", NO_DATA_TABLES, ids=["empty", "comments", "header"])
+    def test_input_without_data_rows_exit_code(self, tmp_path, capsys, text):
+        table = tmp_path / "d.txt"
+        table.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fit", "--input", table, "--output", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert f"{table}: no data rows" in capsys.readouterr().err
+        assert not caught
+
     @pytest.mark.parametrize("command", ["fit", "generate", "bench"])
     def test_negative_seed_exit_code(self, tmp_path, capsys, command):
         code = run([command, "--dim", 1, "--n", 50, "--seed", -1, "--levels", 2,
@@ -273,6 +288,18 @@ class TestPredict:
         preds = np.loadtxt(preds_file)[:, 2]
         assert np.isfinite(preds[0]) and np.isnan(preds[1])
         assert "1 point(s) outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", NO_DATA_TABLES, ids=["empty", "comments", "header"])
+    def test_input_without_data_rows_exit_code(self, fit_dir, tmp_path, capsys, text):
+        queries = tmp_path / "q.txt"
+        queries.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["predict", "--model", fit_dir, "--input", queries,
+                        "--output", tmp_path / "p.txt"])
+        assert code == cli.EXIT_CONFIG
+        assert f"{queries}: no data rows" in capsys.readouterr().err
+        assert not caught
 
     def test_non_finite_coordinates_exit_code(self, fit_dir, tmp_path):
         queries = tmp_path / "q.txt"

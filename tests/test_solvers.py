@@ -150,6 +150,19 @@ class TestMgcg:
         assert rep.iterations == ref.iterations
         npt.assert_array_equal(rep.coefficients, ref.coefficients)
 
+    def test_precond_mg_ssor_memory_counts_dense_levels(self, small_dataset_2d):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0)
+        k = hier.finest.size
+        jacobi = mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-jacobi"))
+        ssor = mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-ssor"))
+        dense_bytes = 8 * sum(op.size**2 for op in hier.levels)
+        # workspace, right-hand side and five CG vectors
+        assert jacobi.peak_auxiliary_memory_estimate == 8 * (hier.workspace_reals() + 6 * k)
+        assert ssor.peak_auxiliary_memory_estimate >= dense_bytes
+        assert ssor.peak_auxiliary_memory_estimate == (
+            jacobi.peak_auxiliary_memory_estimate + dense_bytes
+        )
+
     def test_precond_mg_ssor_respects_dense_cap(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 3, 1.0, dense_cap=100)
         with pytest.raises(CapacityError):

@@ -201,6 +201,21 @@ class TestAssembleDense:
         with pytest.raises(CapacityError):
             op.assemble_dense(cap=100)
 
+    @pytest.mark.parametrize("level,degrees", [
+        (3, (3,)), (3, (3, 3)), (2, (3, 3, 3)), (2, (3, 2, 4)),
+    ])
+    def test_windows_level_densifies_its_band_csr(self, level, degrees):
+        # one builder for both storages: bit-identical, on an input that
+        # spans more than one cell_gram chunk
+        ncomb = int(np.prod([q + 1 for q in degrees]))
+        n = kernels.CHUNK * 1024 // ncomb**2 + 500
+        data = make_dataset(len(degrees), n, seed=level)
+        op = build_level(data, level, 0.7, degrees)
+        dense = op.assemble_dense()
+        assert op.storage == "windows"
+        csr = LevelOperator(data, level, 0.7, degrees).assemble().matrix
+        npt.assert_array_equal(dense, csr.toarray())
+
 
 class TestObjectiveAndPredict:
     def test_zero_coefficients(self, small_dataset_2d):
@@ -261,3 +276,12 @@ class TestObjectiveAndPredict:
 def test_level_operator_rejects_degree_mismatch(small_dataset_2d):
     with pytest.raises(ParameterError):
         LevelOperator(small_dataset_2d, 2, 1.0, degrees=(3, 3, 3))
+
+
+class TestExports:
+    def test_every_exported_name_resolves_once(self):
+        import splinemg
+
+        assert len(splinemg.__all__) == len(set(splinemg.__all__))
+        for name in splinemg.__all__:
+            assert hasattr(splinemg, name), name
