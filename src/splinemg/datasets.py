@@ -89,15 +89,18 @@ def read_table(path) -> np.ndarray:
     first = ""
     header_checked = False
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 skip += 1
                 continue
+            fields = stripped.replace(",", " ").split()
+            if not fields:
+                raise ParameterError(f"{path}: line {lineno} holds delimiters but no values")
             if not header_checked:
                 header_checked = True
                 try:
-                    float(stripped.replace(",", " ").split()[0])
+                    float(fields[0])
                 except ValueError:
                     skip += 1
                     continue

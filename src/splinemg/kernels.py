@@ -2,34 +2,49 @@
 
 The kernels below dominate runtime for large point sets.  Each rank-one
 column of a columnwise-Kronecker operator touches only a small window of
-positions per axis, and the kernels walk exactly those windows, ``CHUNK``
-points at a time with vectorized numpy (fancy indexing + ``bincount``).
-Every product with the design windows goes through `_window_weights`.  The
-kernels are sequential and bit-deterministic.  `cell_gram` assembles the
-data term of a level once, from points grouped by grid cell, into sparse
-storage; it is the only assembly of the data term (dense copies are made
-from its result).
+positions per axis, and the kernels walk exactly those windows with
+vectorized numpy (fancy indexing + ``bincount``), in chunks of about
+``CHUNK_ENTRIES`` window entries: a chunk holds ``CHUNK_ENTRIES // ncomb``
+points, so the scratch is the same at every dimension.  Every product with
+the design windows goes through `_window_weights`, which forms each point's
+weights as per-axis outer products of its window slices.  The kernels are
+sequential and bit-deterministic.  `cell_gram` assembles the data term of a
+level once, from points grouped by grid cell, into sparse storage; it is
+the only assembly of the data term (dense copies are made from its result).
 """
 from __future__ import annotations
 
 import numpy as np
 
-# Points per vectorized step; bounds the scratch memory at roughly
-# 4 * CHUNK * ncomb values.
-CHUNK = 2048
+# Window entries (points times window positions) per vectorized step; each
+# chunk temporary holds about this many values (256 KiB of float64), so the
+# scratch stays below a few times 8 * CHUNK_ENTRIES bytes at every P.
+CHUNK_ENTRIES = 32768
 
 
 def _window_weights(vals, digits, lo, hi):
-    """Combined per-column window weights for points lo:hi, shape (hi-lo, ncomb)."""
-    w = vals[lo:hi, 0, digits[:, 0]]
+    """Combined per-column window weights for points lo:hi, shape (hi-lo, ncomb).
+
+    Per-axis outer products of the window slices, in the C order of
+    ``digits``: the same products in the same order as
+    ``prod_p vals[:, p, digits[:, p]]``.  At P=1 the result is a view of
+    ``vals``; callers must not write into it.
+    """
+    counts = digits[-1] + 1
+    w = vals[lo:hi, 0, : counts[0]]
     for p in range(1, digits.shape[1]):
-        w = w * vals[lo:hi, p, digits[:, p]]
+        w = (w[:, :, None] * vals[lo:hi, p, None, : counts[p]]).reshape(hi - lo, -1)
     return w
 
 
+def _chunks(n, ncomb):
+    step = max(1, CHUNK_ENTRIES // ncomb)
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
 def scatter(vals, base, rel, digits, x, out):
-    for lo in range(0, base.shape[0], CHUNK):
-        hi = min(lo + CHUNK, base.shape[0])
+    for lo, hi in _chunks(base.shape[0], rel.shape[0]):
         w = _window_weights(vals, digits, lo, hi)
         idx = base[lo:hi, None] + rel[None, :]
         out += np.bincount(
@@ -39,8 +54,7 @@ def scatter(vals, base, rel, digits, x, out):
 
 
 def gather(vals, base, rel, digits, y, out):
-    for lo in range(0, base.shape[0], CHUNK):
-        hi = min(lo + CHUNK, base.shape[0])
+    for lo, hi in _chunks(base.shape[0], rel.shape[0]):
         w = _window_weights(vals, digits, lo, hi)
         idx = base[lo:hi, None] + rel[None, :]
         out[lo:hi] = (w * y[idx]).sum(axis=1)
@@ -48,8 +62,7 @@ def gather(vals, base, rel, digits, y, out):
 
 
 def scatter_squares(vals, base, rel, digits, out):
-    for lo in range(0, base.shape[0], CHUNK):
-        hi = min(lo + CHUNK, base.shape[0])
+    for lo, hi in _chunks(base.shape[0], rel.shape[0]):
         w = _window_weights(vals, digits, lo, hi)
         idx = base[lo:hi, None] + rel[None, :]
         out += np.bincount(idx.ravel(), weights=(w * w).ravel(), minlength=out.shape[0])
@@ -58,8 +71,7 @@ def scatter_squares(vals, base, rel, digits, out):
 
 def gram_matvec(vals, base, rel, digits, x, out):
     # Fused gather-then-scatter: out += A (A' x) without an n-length buffer.
-    for lo in range(0, base.shape[0], CHUNK):
-        hi = min(lo + CHUNK, base.shape[0])
+    for lo, hi in _chunks(base.shape[0], rel.shape[0]):
         w = _window_weights(vals, digits, lo, hi)
         idx = base[lo:hi, None] + rel[None, :]
         s = (w * x[idx]).sum(axis=1)
@@ -78,11 +90,11 @@ def cell_gram(vals, base, digits, locate, out):
     ``(m, ncomb, ncomb)`` of their window pairs; the positions of one cell
     are distinct, so a plain indexed add is exact.  Points are taken in cell
     order, in chunks sized so that the located positions stay below
-    ``CHUNK * 1024`` numbers; a cell cut by a chunk border adds two partial
-    blocks.
+    ``CHUNK_ENTRIES * 64`` numbers; a cell cut by a chunk border adds two
+    partial blocks.
     """
     ncomb = digits.shape[0]
-    step = max(1, CHUNK * 1024 // ncomb**2)
+    step = max(1, CHUNK_ENTRIES * 64 // ncomb**2)
     order = np.argsort(base, kind="stable")
     cells = base[order]
     block = np.empty((ncomb, ncomb))

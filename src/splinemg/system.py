@@ -233,7 +233,7 @@ class BandPattern:
         A block of first-axis rows at a time, the products are formed as
         ``(rows, prod(2q + 1))`` band arrays, which are ``np.kron`` of the
         per-axis ones, and their in-range entries are read out in storage
-        order; the blocks hold about ``CHUNK * 64`` numbers.
+        order; the blocks hold about ``CHUNK_ENTRIES * 4`` numbers.
         """
         band_width = prod(2 * q + 1 for q in self.degrees)
         colshift = np.zeros(1, dtype=np.int64)
@@ -243,7 +243,7 @@ class BandPattern:
         rest_valid = reduce(np.kron, self.valid[1:], one) > 0
         rests = [reduce(np.kron, axes[1:], one) for axes in kron_terms]
         rest_rows = self.strides[0]
-        step = max(1, kernels.CHUNK * 64 // (rest_rows * band_width))
+        step = max(1, kernels.CHUNK_ENTRIES * 4 // (rest_rows * band_width))
         indices = np.empty(self.nnz, dtype=np.int64)
         for s in range(0, self.dims[0], step):
             e = min(s + step, self.dims[0])

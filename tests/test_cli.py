@@ -212,6 +212,13 @@ class TestFit:
         assert f"{table}: no data rows" in capsys.readouterr().err
         assert not caught
 
+    def test_delimiter_only_first_line_exit_code(self, tmp_path, capsys):
+        table = tmp_path / "d.txt"
+        table.write_text("# x1,x2,y\n,,\n0.1,0.2,1.0\n")
+        code = run(["fit", "--input", table, "--output", tmp_path / "o"])
+        assert code == cli.EXIT_CONFIG
+        assert f"{table}: line 2 holds delimiters but no values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["fit", "generate", "bench"])
     def test_negative_seed_exit_code(self, tmp_path, capsys, command):
         code = run([command, "--dim", 1, "--n", 50, "--seed", -1, "--levels", 2,
@@ -300,6 +307,14 @@ class TestPredict:
         assert code == cli.EXIT_CONFIG
         assert f"{queries}: no data rows" in capsys.readouterr().err
         assert not caught
+
+    def test_delimiter_only_first_line_exit_code(self, fit_dir, tmp_path, capsys):
+        queries = tmp_path / "q.txt"
+        queries.write_text(",,\n0.5,0.5\n")
+        code = run(["predict", "--model", fit_dir, "--input", queries,
+                    "--output", tmp_path / "p.txt"])
+        assert code == cli.EXIT_CONFIG
+        assert f"{queries}: line 1 holds delimiters but no values" in capsys.readouterr().err
 
     def test_non_finite_coordinates_exit_code(self, fit_dir, tmp_path):
         queries = tmp_path / "q.txt"

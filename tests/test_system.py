@@ -88,8 +88,9 @@ class TestAgainstDenseOracle:
         npt.assert_allclose(op.diagonal(), np.diag(dense), rtol=1e-12, atol=1e-12 * scale)
 
     def test_assemble_dense_matches_oracle(self, num_axes, level):
-        # the larger input spans several kernel chunks
-        for n in (60, kernels.CHUNK + 500):
+        # the larger input spans several kernel chunks (degree 3: 4**P
+        # window entries per point)
+        for n in (60, kernels.CHUNK_ENTRIES // 4**num_axes + 500):
             data = make_dataset(num_axes, n, seed=level + 10)
             op = build_level(data, level, 0.7)
             a = op.assemble_dense()
@@ -208,7 +209,7 @@ class TestAssembleDense:
         # one builder for both storages: bit-identical, on an input that
         # spans more than one cell_gram chunk
         ncomb = int(np.prod([q + 1 for q in degrees]))
-        n = kernels.CHUNK * 1024 // ncomb**2 + 500
+        n = kernels.CHUNK_ENTRIES * 64 // ncomb**2 + 500
         data = make_dataset(len(degrees), n, seed=level)
         op = build_level(data, level, 0.7, degrees)
         dense = op.assemble_dense()

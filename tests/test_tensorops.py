@@ -22,6 +22,7 @@ from splinemg import (
     subdivision_matrix,
 )
 from splinemg import kernels
+from splinemg.system import design_factors
 from oracles import dense_khatri_rao, dense_kron
 
 
@@ -308,11 +309,12 @@ class TestKhatriRao:
 
 class TestKernels:
     """The window kernels against the densified operator, across several
-    ``CHUNK`` boundaries."""
+    chunk boundaries."""
 
     @pytest.fixture(scope="class")
     def windows(self, rng):
-        n, dims, width = 3 * kernels.CHUNK + 17, (9, 8), 4
+        dims, width = (9, 8), 4
+        n = 3 * (kernels.CHUNK_ENTRIES // width ** len(dims)) + 17
         offsets = np.column_stack(
             [rng.integers(0, d - width + 1, size=n) for d in dims]
         ).astype(np.int64)
@@ -345,3 +347,81 @@ class TestKernels:
             out = kernels.gram_matvec(*args, x_rows, np.zeros(f.n_rows))
             ref = dense @ (dense.T @ x_rows)
         npt.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+class TestWindowKernelsAcrossDimensions:
+    """The pass kernels and `KhatriRaoFactors.toarray` for P = 1..4 and
+    unequal window widths, over several chunks of window entries."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_kernels_match_dense_factors(self, data):
+        num_axes = data.draw(st.integers(1, 4), label="P")
+        degrees = data.draw(st.lists(st.integers(1, 4), min_size=num_axes,
+                                     max_size=num_axes), label="degrees")
+        level = data.draw(st.integers(1, 2 if num_axes <= 2 else 1), label="level")
+        one_cell = data.draw(st.booleans(), label="one_cell")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+        ncomb = int(np.prod([q + 1 for q in degrees]))
+        step = max(1, kernels.CHUNK_ENTRIES // ncomb)
+        n = 3 * step + int(gen.integers(1, step + 1))
+        spaces = tuple(build_space(0.0, 1.0, level, q) for q in degrees)
+        points = gen.random((n, num_axes))
+        if one_cell:
+            # every point in the top cell of each axis
+            points = 1.0 - 0.5**level * points
+        # points on the upper boundary, on one axis and on all of them
+        points[::7, int(gen.integers(num_axes))] = 1.0
+        points[-1] = 1.0
+        f = design_factors(spaces, points)
+        # dense factors straight from the windows, then their columnwise
+        # Kronecker product without the window odometer
+        dense, cols = np.ones((1, n)), np.arange(n)[:, None]
+        for p, s in enumerate(spaces):
+            m = np.zeros((s.dim, n))
+            m[f.offsets[:, p, None] + np.arange(f.counts[p]), cols] = f.values[:, p, : f.counts[p]]
+            dense = (dense[:, None, :] * m[None, :, :]).reshape(-1, n)
+        x_cols = gen.standard_normal(n)
+        x_rows = gen.standard_normal(f.n_rows)
+        args = (f.values, f.base, f.rel, f.digits)
+        checks = {
+            "scatter": (kernels.scatter(*args, x_cols, np.zeros(f.n_rows)), dense @ x_cols),
+            "gather": (kernels.gather(*args, x_rows, np.empty(n)), dense.T @ x_rows),
+            "scatter_squares": (kernels.scatter_squares(*args, np.zeros(f.n_rows)),
+                                (dense**2).sum(axis=1)),
+            "gram_matvec": (kernels.gram_matvec(*args, x_rows, np.zeros(f.n_rows)),
+                            dense @ (dense.T @ x_rows)),
+        }
+        for name, (out, ref) in checks.items():
+            npt.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
+                                err_msg=name)
+        npt.assert_allclose(f.toarray(), dense, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("counts", [(4,), (4, 3), (4, 3, 5), (2, 5, 3, 4)])
+    def test_window_weights_are_the_odometer_products(self, counts, rng):
+        n = 50
+        vals = rng.standard_normal((n, len(counts), max(counts)))
+        digits = np.stack(np.unravel_index(np.arange(int(np.prod(counts))), counts), axis=1)
+        lo, hi = 7, 41
+        ref = vals[lo:hi, 0, digits[:, 0]]
+        for p in range(1, len(counts)):
+            ref = ref * vals[lo:hi, p, digits[:, p]]
+        npt.assert_array_equal(kernels._window_weights(vals, digits, lo, hi), ref)
+
+    @pytest.mark.parametrize("num_axes", [1, 2, 3, 4])
+    def test_gram_matvec_scratch_is_bounded_by_chunk_entries(self, num_axes, rng):
+        dims, width = (10,) * num_axes, 4
+        n = 4 * (kernels.CHUNK_ENTRIES // width**num_axes) + 3
+        offsets = np.column_stack(
+            [rng.integers(0, d - width + 1, size=n) for d in dims]
+        ).astype(np.int64)
+        f = KhatriRaoFactors.from_windows(
+            dims, offsets, [rng.standard_normal((n, width)) for _ in dims]
+        )
+        x = rng.standard_normal(f.n_rows)
+        out = np.zeros(f.n_rows)
+        tracemalloc.start()
+        kernels.gram_matvec(f.values, f.base, f.rel, f.digits, x, out)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 6 * kernels.CHUNK_ENTRIES * 8 + 2 * out.nbytes
