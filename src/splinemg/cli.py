@@ -262,6 +262,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "converged": bool(report_solve.converged),
             "final_relative_residual": report_solve.final_relative_residual,
             "true_relative_residual": report_solve.true_relative_residual,
+            "rounding_floor": report_solve.rounding_floor,
             "residual_history": report_solve.residual_history.tolist(),
             "wall_time_seconds": report_solve.wall_time,
         },
@@ -306,6 +307,13 @@ def _cmd_fit(args) -> int:
         f"{solver['wall_time_seconds']:.2f}s"
     )
     print(f"artifacts in {args.output}")
+    if args.tol < solver["rounding_floor"]:
+        print(
+            f"warning: --tol {args.tol:g} lies below this problem's rounding floor "
+            f"{solver['rounding_floor']:.3g}; the true relative residual is "
+            f"{solver['true_relative_residual']:.3g}",
+            file=sys.stderr,
+        )
     if not solver["converged"]:
         print("solver did not reach the tolerance", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -6,13 +6,17 @@ per-axis refinement matrices and restriction is its transpose.  The spaces
 are nested, so every coarse operator equals ``P' A P`` of the level above
 it (the Galerkin relation).
 
-Only the finest level is certain to touch the data in every product: it is
-matrix-free.  `build_hierarchy` walks down from level ``G - 1``; levels stay
-matrix-free until the first one whose band nonzeros fit into the window
-entries of one data pass (``n * prod(q + 1)``), so that one CSR product
-costs no more than one pass over the data.  That level is assembled from
-its own windows, and every level below it is the sparse Galerkin product
-``P' A P`` of the level above.  Only the coarsest operator is factorized.
+`build_hierarchy` picks the first level to assemble from its own windows;
+every level below it is the sparse Galerkin product ``P' A P`` of the level
+above, and every level above it stays matrix-free.  The finest level is
+assembled when its band CSR, together with the ``B'y`` it keeps, stores no
+more numbers than the per-point window arrays it replaces (many points on
+few coefficients, as in 1D); this keeps the hierarchy's memory no larger
+than with a matrix-free finest level.  Otherwise the walk goes down from
+level ``G - 1``; levels stay matrix-free until the first one whose band
+nonzeros fit into the window entries of one data pass
+(``n * prod(q + 1)``), so that one CSR product costs no more than one pass
+over the data.  Only the coarsest operator is factorized.
 """
 from __future__ import annotations
 
@@ -133,6 +137,30 @@ def galerkin_product(matrix, factors):
     return scipy.sparse.csr_array(p.T @ (matrix @ p))
 
 
+def first_assembled_level(spaces, n: int) -> int:
+    """The level `build_hierarchy` assembles from its windows (``0``: none).
+
+    ``spaces[g - 1]`` are the axis spaces of level ``g``.  The finest level
+    ``G`` qualifies when ``2 nnz + K + 1`` CSR numbers (values, indices and
+    index pointers, as `stored_size` counts them) plus its ``K`` numbers of
+    ``B'y`` are at most the ``n (P (max q + 1) + P + 1)`` numbers of its
+    window values, offsets and bases; the window odometer is kept by both
+    storages.  Otherwise it is the finest level below ``G`` whose band
+    holds at most ``n prod(q + 1)`` nonzeros.
+    """
+    degrees = [s.degree for s in spaces[-1]]
+    num_axes = len(degrees)
+    finest = BandPattern(spaces[-1])
+    windows = n * (num_axes * (max(degrees) + 1) + num_axes + 1)
+    if 2 * finest.nnz + 2 * finest.size + 1 <= windows:
+        return len(spaces)
+    pass_entries = n * prod(q + 1 for q in degrees)
+    return next(
+        (g for g in range(len(spaces) - 1, 0, -1) if BandPattern(spaces[g - 1]).nnz <= pass_entries),
+        0,
+    )
+
+
 def build_hierarchy(
     dataset: ScatteredDataset,
     num_levels: int,
@@ -145,10 +173,10 @@ def build_hierarchy(
 ) -> Hierarchy:
     """Build level operators, transfer factors and the coarse factorization.
 
-    The finest level is matrix-free; coarser levels are assembled into CSR
-    by the size rule of the module docstring.  The coarsest level is
-    factorized by Cholesky when its dimension is at most ``dense_cap`` and
-    solved by nested CG otherwise.
+    Levels are assembled into CSR by the size rule of the module docstring
+    (`first_assembled_level`), which reads only the dataset's size and the
+    spaces.  The coarsest level is factorized by Cholesky when its dimension
+    is at most ``dense_cap`` and solved by nested CG otherwise.
     """
     if num_levels < 1:
         raise ParameterError(f"need at least one level, got {num_levels}")
@@ -163,16 +191,13 @@ def build_hierarchy(
         tuple(subdivision_matrix(cs, fs) for cs, fs in zip(spaces[i], spaces[i + 1]))
         for i in range(num_levels - 1)
     ]
-    pass_entries = dataset.n * prod(q + 1 for q in degrees)
-    assembled = next(
-        (g for g in range(num_levels - 1, 0, -1) if BandPattern(spaces[g - 1]).nnz <= pass_entries),
-        0,
-    )
+    assembled = first_assembled_level(spaces, dataset.n)
     # CSR levels first, so that the assembly scratch never meets the windows
     # of the finer levels
     levels = [None] * num_levels
     if assembled:
-        levels[assembled - 1] = LevelOperator(dataset, assembled, lam, degrees).assemble()
+        levels[assembled - 1] = LevelOperator(dataset, assembled, lam, degrees).assemble(
+            keep_rhs=assembled == num_levels)
     for g in range(assembled - 1, 0, -1):
         matrix = galerkin_product(levels[g].matrix, transfers[g - 1])
         levels[g - 1] = LevelOperator(dataset, g, lam, degrees, matrix=matrix)
@@ -273,11 +298,12 @@ def transfer(hier: Hierarchy, g: int, v, direction: str) -> np.ndarray:
 
 
 def _plain_cg(apply_fn, b, tol, maxiter):
-    """Minimal CG used as the nested coarse solver."""
+    """Minimal CG used as the nested coarse solver; returns the iterate and
+    whether its recursive residual reached ``tol``."""
     x = np.zeros_like(b)
     nb = np.linalg.norm(b)
     if nb == 0.0:
-        return x
+        return x, True
     r = b.copy()
     p = r.copy()
     rr = r @ r
@@ -290,21 +316,36 @@ def _plain_cg(apply_fn, b, tol, maxiter):
         if not np.isfinite(rr_new):
             raise NumericError("nested coarse CG diverged", iteration=k)
         if np.sqrt(rr_new) <= tol * nb:
-            break
+            return x, True
         p = r + (rr_new / rr) * p
         rr = rr_new
-    return x
+    return x, False
 
 
 def coarse_solve(hier: Hierarchy, b) -> np.ndarray:
-    """Solve the coarsest-level system (direct factorization or nested CG)."""
+    """Solve the coarsest-level system (direct factorization or nested CG).
+
+    A nested CG that stops short of ``COARSE_CG_TOL`` still returns its
+    iterate, since a rough coarse correction can serve the V-cycle; one
+    whose true residual is no smaller than ``||b||`` (worse than the zero
+    vector) raises `NumericError`.
+    """
     b = np.ascontiguousarray(b, dtype=np.float64)
     coarse = hier.levels[0]
     if b.shape != (coarse.size,):
         raise ShapeError(f"expected vector of length {coarse.size}, got {b.shape}")
     if hier._coarse_factor is not None:
         return scipy.linalg.cho_solve(hier._coarse_factor, b)
-    return _plain_cg(coarse.apply, b, COARSE_CG_TOL, 20 * coarse.size)
+    x, reached = _plain_cg(coarse.apply, b, COARSE_CG_TOL, 20 * coarse.size)
+    if not reached:
+        relative = float(np.linalg.norm(b - coarse.apply(x)) / np.linalg.norm(b))
+        if not relative < 1.0:
+            raise NumericError(
+                f"nested coarse CG on level 1 (size {coarse.size}) ended at relative "
+                f"residual {relative:.3g}, no better than the zero vector; a dense_cap of "
+                f"at least {coarse.size} (now {hier.dense_cap}) solves it by Cholesky"
+            )
+    return x
 
 
 def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> np.ndarray:

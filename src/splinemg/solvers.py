@@ -63,7 +63,9 @@ class SolveReport:
     ``residual_history`` holds CG's recursively updated residuals, which
     decide convergence; ``true_relative_residual`` is ``||b - A x|| / ||b||``
     recomputed once from the returned coefficients.  The two drift apart
-    when the tolerance lies below the rounding floor of ``A x``.
+    when the tolerance lies below ``rounding_floor``, the estimate of
+    `rounding_floor` for the relative residual that rounding alone leaves
+    in ``A x``.
     """
 
     iterations: int
@@ -73,6 +75,7 @@ class SolveReport:
     converged: bool
     coefficients: np.ndarray
     true_relative_residual: float
+    rounding_floor: float
     label: str = field(default="cg")
 
     @property
@@ -82,11 +85,31 @@ class SolveReport:
         return float(self.residual_history[-1] / self.residual_history[0])
 
 
-def _pcg(apply_fn, b, precond, tol, maxiter, aux_reals, label):
-    """Preconditioned CG with step length ``r'z / p'Ap`` and direction
-    update ``p = z + (r'z / r~'z~) p``; ``precond=None`` runs plain CG
-    (then ``z`` aliases ``r`` and no copy is made)."""
+def rounding_floor(op, x, b) -> float:
+    """Estimate ``eps * || |A| |x| || / ||b||`` of the relative residual that
+    rounding alone leaves in ``b - A x``, with ``eps = 2**-52`` and the
+    constant 1.
+
+    ``|A| |x|`` is one `abs_apply` of ``op``.  The worst-case forward bound
+    of a product with ``m`` terms per row carries ``gamma_m = m u / (1 - m
+    u)``, ``u = eps / 2``, instead of ``eps``; the estimate leaves that
+    factor out, since rounding errors of a sum rarely add up in one
+    direction.
+    """
+    norm_b = float(np.linalg.norm(b))
+    if norm_b == 0.0:
+        return 0.0
+    size = float(np.linalg.norm(op.abs_apply(np.abs(x))))
+    return np.finfo(np.float64).eps * size / norm_b
+
+
+def _pcg(op, b, precond, tol, maxiter, aux_reals, label):
+    """Preconditioned CG on ``op.apply`` with step length ``r'z / p'Ap`` and
+    direction update ``p = z + (r'z / r~'z~) p``; ``precond=None`` runs
+    plain CG (then ``z`` aliases ``r`` and no copy is made).  The rounding
+    floor takes one ``op.abs_apply`` at the end."""
     t0 = time.perf_counter()
+    apply_fn = op.apply
     b = np.ascontiguousarray(b, dtype=np.float64)
     norm_b = float(np.linalg.norm(b))
     history = [norm_b]
@@ -100,6 +123,7 @@ def _pcg(apply_fn, b, precond, tol, maxiter, aux_reals, label):
             converged=True,
             coefficients=x,
             true_relative_residual=0.0,
+            rounding_floor=0.0,
             label=label,
         )
     r = b.copy()
@@ -133,6 +157,7 @@ def _pcg(apply_fn, b, precond, tol, maxiter, aux_reals, label):
         rz = rz_new
     n_vec = 4 if precond is None else 5
     true_residual = float(np.linalg.norm(b - apply_fn(x))) / norm_b
+    floor = rounding_floor(op, x, b)
     return SolveReport(
         iterations=k,
         residual_history=np.array(history),
@@ -141,12 +166,14 @@ def _pcg(apply_fn, b, precond, tol, maxiter, aux_reals, label):
         converged=converged,
         coefficients=x,
         true_relative_residual=true_residual,
+        rounding_floor=floor,
         label=label,
     )
 
 
 def cg_solve(op: LevelOperator, b, cfg: SolverConfig | None = None) -> SolveReport:
-    """Plain CG on one level operator.
+    """Plain CG on one level operator (anything with ``size``, ``apply`` and
+    ``abs_apply``).
 
     Reads only the stopping fields of ``cfg``; ``cfg.preconditioner`` is
     ignored here (it is `mgcg_solve`'s switch).
@@ -154,7 +181,7 @@ def cg_solve(op: LevelOperator, b, cfg: SolverConfig | None = None) -> SolveRepo
     cfg = cfg or SolverConfig(preconditioner="none")
     window = op.design.rel.shape[0] if hasattr(op, "design") else 0
     return _pcg(
-        op.apply,
+        op,
         b,
         None,
         cfg.tolerance,
@@ -191,7 +218,7 @@ def mgcg_solve(
             def preconditioner(r):
                 return v_cycle(hier, None, r, hier.num_levels)
     return _pcg(
-        op.apply,
+        op,
         b,
         preconditioner,
         cfg.tolerance,

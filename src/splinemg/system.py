@@ -8,15 +8,16 @@ penalty built from all pure and mixed second-order derivative Gram matrices.
 `LevelOperator` holds the left-hand side in one of two storages.  The
 matrix-free one (``storage == "windows"``) keeps the per-point design
 windows and applies the data term with the window kernels and the penalty
-by Kronecker contractions; the finest level always uses it, so the finest
-coefficient matrix is never formed.  The assembled one (``"csr"``) holds
-``B'B + lam * R`` as one CSR matrix in the Kronecker band pattern (per axis
-the ``2q + 1`` diagonals of a degree-``q`` space, `BandPattern`) and keeps
-no per-point data.  One builder, `LevelOperator._band_csr`, forms that
-matrix from a level's windows (cell-grouped data products plus the penalty
-bands): `LevelOperator.assemble` stores its result, `assemble_dense`
-densifies it, and the multigrid hierarchy derives coarser levels by
-Galerkin products.
+by Kronecker contractions, so its coefficient matrix is never formed.  The
+assembled one (``"csr"``) holds ``B'B + lam * R`` as one CSR matrix in the
+Kronecker band pattern (per axis the ``2q + 1`` diagonals of a degree-``q``
+space, `BandPattern`) and keeps no per-point data.  One builder,
+`LevelOperator._band_csr`, forms that matrix from a level's windows
+(cell-grouped data products plus the penalty bands): `LevelOperator.assemble`
+stores its result (and, for a finest level, ``B'y`` of the training
+responses), `assemble_dense` densifies it, and the multigrid hierarchy
+derives coarser levels by Galerkin products.  Which levels are assembled,
+the finest one included, is the multigrid hierarchy's size rule.
 """
 from __future__ import annotations
 
@@ -262,8 +263,10 @@ class LevelOperator:
     windows of every data point.  Otherwise ``matrix`` is the level's
     assembled operator (CSR) and the level stores no windows: its
     ``design`` holds zero points, and `rhs` and `fitted_values` evaluate the
-    basis at the data when called.  Both storages keep the spaces, the
-    penalty factors, ``lam`` and the dataset.
+    basis at the data when called, except the default `rhs` of a level
+    that `assemble` told to keep ``B'y`` of the training responses.
+    Both storages keep the spaces, the penalty factors, ``lam`` and the
+    dataset.
     """
 
     def __init__(self, dataset: ScatteredDataset, level: int, lam: float, degrees=3,
@@ -285,18 +288,23 @@ class LevelOperator:
         self.design = design_factors(self.spaces, points)
         self.penalty = penalty_terms(self.spaces)
         self._diag = None
+        self._rhs = None  # B'y of the training responses, kept by `assemble`
 
     @property
     def storage(self) -> str:
         """``"windows"`` (matrix-free) or ``"csr"`` (assembled)."""
         return "windows" if self.matrix is None else "csr"
 
-    def assemble(self) -> "LevelOperator":
+    def assemble(self, keep_rhs: bool = False) -> "LevelOperator":
         """Switch this level to CSR storage, built by `_band_csr` from its
         own windows and penalty factors, and drop the windows; returns the
-        level."""
+        level.  ``keep_rhs`` first forms ``B'y`` of the training responses
+        from the windows and keeps it, so that the default `rhs` evaluates
+        no basis later (the finest level's, which every solve reads)."""
         if self.matrix is None:
             self.matrix = self._band_csr()
+            if keep_rhs:
+                self._rhs = khatri_rao_matvec(self.design, self.dataset.responses)
             self.design = design_factors(self.spaces, self.dataset.points[:0])
             self._diag = None
         return self
@@ -359,8 +367,30 @@ class LevelOperator:
             out += (self.lam * term.weight) * kron_matvec(term.factors, alpha)
         return out
 
+    def abs_apply(self, v) -> np.ndarray:
+        """``|A| v`` for the rounding-floor estimate of a solve.
+
+        A CSR level multiplies by the absolute values of its stored entries.
+        A windows level forms ``B'B v + sum lam w kron(|G_p|) v``: exact for
+        the data term, whose entries are non-negative because B-spline values
+        are, and an entrywise upper bound of ``|A| v`` for ``v >= 0``.
+        """
+        v = self._check(v)
+        if self.matrix is not None:
+            m = self.matrix
+            return scipy.sparse.csr_array((np.abs(m.data), m.indices, m.indptr),
+                                          shape=m.shape) @ v
+        out = np.zeros(self.size)
+        khatri_rao_gram_matvec(self.design, v, out)
+        for term in self.penalty:
+            out += (self.lam * term.weight) * kron_matvec([abs(g) for g in term.factors], v)
+        return out
+
     def rhs(self, y=None) -> np.ndarray:
-        """Right-hand side ``B'y`` (training responses by default)."""
+        """Right-hand side ``B'y`` (training responses by default; a copy of
+        the vector kept by ``assemble(keep_rhs=True)`` if there is one)."""
+        if y is None and self._rhs is not None:
+            return self._rhs.copy()
         y = self.dataset.responses if y is None else self._check(y, self.dataset.n)
         return khatri_rao_matvec(self._data_design(), y)
 
@@ -421,13 +451,15 @@ class LevelOperator:
 
     def memory_reals(self) -> int:
         """Count of the stored operator numbers, each counted as one float64
-        slot: design windows, assembled matrix (values and CSR indices),
-        penalty factors, cached diagonal and index helpers."""
+        slot: design windows, assembled matrix (values and CSR indices) and
+        kept ``B'y``, penalty factors, cached diagonal and index helpers."""
         f = self.design
         count = f.values.size + f.offsets.size + f.base.size
         count += f.rel.size + f.digits.size
         if self.matrix is not None:
             count += stored_size(self.matrix)
+        if self._rhs is not None:
+            count += self._rhs.size
         count += sum(stored_size(g) for t in self.penalty for g in t.factors)
         count += self.size  # cached diagonal
         return int(count)

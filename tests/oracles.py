@@ -99,5 +99,8 @@ class DenseOperator:
             return out
         return res
 
+    def abs_apply(self, alpha):
+        return np.abs(self.matrix) @ alpha
+
     def diagonal(self):
         return np.diagonal(self.matrix).copy()

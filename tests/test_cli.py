@@ -192,6 +192,34 @@ class TestFit:
                     "--precond", "none", "--output", out])
         assert code == cli.EXIT_NO_CONVERGENCE
 
+    def test_tolerance_below_rounding_floor_warns(self, tmp_path, capsys):
+        # P=1, G=12: penalty entries near 1e11 put the floor far above 1e-8;
+        # the fit still converges by its recursive residual and exits 0
+        out = tmp_path / "floor"
+        code = run(["fit", "--dim", 1, "--n", 20_000, "--seed", 0, "--levels", 12,
+                    "--tol", "1e-8", "--output", out])
+        assert code == cli.EXIT_OK
+        solver = json.loads((out / "report.json").read_text())["solver"]
+        assert solver["rounding_floor"] > 1e-8
+        assert solver["true_relative_residual"] <= solver["rounding_floor"]
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1 and "rounding floor" in err
+
+    def test_tolerance_above_rounding_floor_is_quiet(self, fit_dir, capsys):
+        solver = json.loads((fit_dir / "report.json").read_text())["solver"]
+        assert 0.0 < solver["rounding_floor"] < 1e-9  # BASE_FIT's --tol
+        assert "warning" not in capsys.readouterr().err
+
+    def test_failed_nested_coarse_solve_exit_code(self, tmp_path, capsys):
+        # level 1 (49 unknowns) has condition number near 1e14: the nested
+        # CG that replaces Cholesky under --dense-cap 1 ends worse than zero
+        code = run(["fit", "--dim", 2, "--n", 3000, "--seed", 3, "--levels", 2,
+                    "--lambda", "1e-8", "--degree", 5, "--dense-cap", 1,
+                    "--output", tmp_path / "coarse"])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "level 1 (size 49)" in err and "dense_cap" in err
+
     def test_capacity_exit_code(self, tmp_path):
         code = run(["fit", *BASE_FIT, "--precond", "mg-ssor", "--dense-cap", 10,
                     "--output", tmp_path / "cap"])

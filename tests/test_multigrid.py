@@ -7,23 +7,35 @@ import scipy.sparse
 
 from splinemg import (
     Hierarchy,
+    NumericError,
     ParameterError,
     ScatteredDataset,
     ShapeError,
     SolverConfig,
     build_hierarchy,
     build_level,
+    build_space,
     coarse_solve,
+    generate_dataset,
     jacobi_smooth,
     subdivision_matrix,
     transfer,
     v_cycle,
 )
+from splinemg.multigrid import first_assembled_level
 from splinemg.solvers import mgcg_solve
 from splinemg.system import BandPattern
 from splinemg.tensorops import stored_size
 from conftest import make_dataset
 from oracles import DenseOperator, dense_kron, dense_rhs
+
+
+def windows_finest(hier):
+    """The same hierarchy with a matrix-free finest level built from the data."""
+    finest = hier.finest
+    levels = hier.levels[:-1] + [build_level(finest.dataset, finest.level, finest.lam,
+                                             finest.degrees)]
+    return Hierarchy(levels, hier.transfers, hier.nu1, hier.nu2, hier.omega, hier.dense_cap)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +190,23 @@ class TestCoarseSolve:
         xc = coarse_solve(nested, b)
         assert np.linalg.norm(xd - xc) <= 1e-8 * np.linalg.norm(xd)
 
+    def test_nested_cg_worse_than_zero_raises(self, rng):
+        # level 1 has 49 unknowns and condition number near 1e14
+        data = generate_dataset(2, 3000, 0.1, seed=3)
+        hier = build_hierarchy(data, 2, 1e-8, degrees=5, dense_cap=1)
+        assert hier._coarse_factor is None
+        b = rng.standard_normal(hier.levels[0].size)
+        with pytest.raises(NumericError, match=r"level 1 \(size 49\).*dense_cap"):
+            coarse_solve(hier, b)
+
+    def test_nested_cg_short_of_its_tolerance_still_serves(self):
+        # the nested solve misses COARSE_CG_TOL here but is far better than
+        # zero, and MGCG converges with it
+        data = generate_dataset(2, 500, 0.1, seed=0)
+        hier = build_hierarchy(data, 4, 1e8, degrees=5, dense_cap=1)
+        report = mgcg_solve(hier, cfg=SolverConfig(max_iterations=2000))
+        assert report.converged
+
 
 class TestVCycle:
     def test_level_one_is_coarse_solve(self, hier_2d, rng):
@@ -224,8 +253,8 @@ class TestVCycle:
 
 class TestAssembledLevels:
     @pytest.mark.parametrize("num_axes,levels,n,assembled", [
-        (1, 6, 2000, 5),  # q=3: every coarse level is CSR
-        (2, 4, 3000, 3),
+        (1, 6, 2000, 6),  # q=3: every level, the finest included, is CSR
+        (2, 4, 3000, 4),  # the finest band CSR is smaller than its windows
         (3, 3, 3000, 2),
     ])
     def test_match_levels_rediscretized_from_data(self, num_axes, levels, n, assembled):
@@ -249,7 +278,7 @@ class TestAssembledLevels:
         pts = np.vstack([0.3 + 0.01 * gen.random((20_000, 2)), gen.random((50, 2))])
         data = ScatteredDataset(pts, gen.standard_normal(pts.shape[0]))
         hier = build_hierarchy(data, 4, 1.0)
-        for op in hier.levels[:-1]:
+        for op in hier.levels:
             assert op.storage == "csr"
             dense = build_level(data, op.level, 1.0).assemble_dense()
             assert np.abs(op.assemble_dense() - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -263,7 +292,7 @@ class TestAssembledLevels:
         (3, 3, 10, ["windows"] * 3),  # 23**3 = 12167 > 640: nothing pays
         (2, 3, 86, ["csr", "csr", "windows"]),  # 37**2 = 1369 <= 86 * 16 = 1376
         (2, 3, 85, ["csr", "windows", "windows"]),  # 1369 > 1360 >= 23**2
-        (2, 1, 200, ["windows"]),
+        (2, 1, 200, ["csr"]),  # 2 * 23**2 + 2 * 25 + 1 = 1109 <= 200 * 11
     ])
     def test_size_rule_picks_levels(self, num_axes, levels, n, expected):
         data = make_dataset(num_axes, n, seed=4)
@@ -276,18 +305,55 @@ class TestAssembledLevels:
         hier = build_hierarchy(make_dataset(1, 8, seed=2), 3, 1.0, degrees=2)
         assert [op.storage for op in hier.levels] == ["csr", "csr", "windows"]
 
+    @pytest.mark.parametrize("n,expected", [
+        # degree 2 in 1D: level 4 has 18 functions and 5 * 18 - 6 = 84 band
+        # entries, so its CSR and B'y hold 2 * 84 + 2 * 18 + 1 = 205 numbers,
+        # against 5 window numbers (3 values, offset, base) per point
+        (41, ["csr"] * 4),
+        (40, ["csr"] * 3 + ["windows"]),
+    ])
+    def test_finest_rule_admits_equality(self, n, expected):
+        hier = build_hierarchy(make_dataset(1, n, seed=2), 4, 1.0, degrees=2)
+        assert [op.storage for op in hier.levels] == expected
+
+    @pytest.mark.parametrize("num_axes,levels,n,degree", [
+        (1, 4, 41, 2),  # at the boundary of the rule
+        (1, 6, 2000, 3),
+        (1, 12, 20_000, 3),
+        (2, 4, 3000, 3),
+        (2, 5, 20_000, 3),
+    ])
+    def test_memory_not_above_windows_finest(self, num_axes, levels, n, degree):
+        data = make_dataset(num_axes, n, seed=5)
+        hier = build_hierarchy(data, levels, 1.0, degrees=degree)
+        assert hier.finest.storage == "csr"
+        reference = windows_finest(hier)
+        assert reference.finest.storage == "windows"
+        assert hier.memory_reals() <= reference.memory_reals()
+
+    def test_finest_rule_keeps_the_workload_storages(self):
+        # P=1 G=12 n=100k assembles the finest level; P=2 G=7 n=100k and
+        # P=3 G=5 n=20k keep it matrix-free (the rule reads only n and spaces)
+        def finest_assembled(num_axes, levels, n):
+            spaces = [(build_space(0.0, 1.0, g, 3),) * num_axes for g in range(1, levels + 1)]
+            return first_assembled_level(spaces, n) == levels
+
+        assert finest_assembled(1, 12, 100_000)
+        assert not finest_assembled(2, 7, 100_000)
+        assert not finest_assembled(3, 5, 20_000)
+
     def test_window_assembled_level_holds_the_band_pattern(self):
         data = make_dataset(2, 3000, seed=6)
         hier = build_hierarchy(data, 4, 1.0)
-        op = hier.level(3)  # assembled from its windows
-        assert op.matrix.nnz == BandPattern(op.spaces).nnz == 65**2
+        op = hier.level(4)  # assembled from its windows
+        assert op.matrix.nnz == BandPattern(op.spaces).nnz == 121**2
         rows = np.repeat(np.arange(op.size), np.diff(op.matrix.indptr))
         r, c = np.unravel_index(rows, op.dims), np.unravel_index(op.matrix.indices, op.dims)
         assert all(np.abs(rp - cp).max() <= 3 for rp, cp in zip(r, c))
 
     def test_stores_no_windows_and_counts_csr(self):
         data = make_dataset(2, 3000, seed=6)
-        hier = build_hierarchy(data, 4, 1.0)
+        hier = build_hierarchy(data, 5, 1.0)  # the finest level stays windows
         for op in hier.levels[:-1]:
             assert op.design.n_cols == 0 and op.design.values.size == 0
             penalty = sum(stored_size(g) for t in op.penalty for g in t.factors)
@@ -302,7 +368,7 @@ class TestAssembledLevels:
     def test_mgcg_matches_matrix_free_hierarchy(self):
         data = make_dataset(2, 20_000, seed=8)
         hier = build_hierarchy(data, 5, 1.0)
-        assert [op.storage for op in hier.levels].count("csr") == 4
+        assert [op.storage for op in hier.levels].count("csr") == 5
         levels = [build_level(data, g, 1.0) for g in range(1, 6)]
         transfers = [
             tuple(subdivision_matrix(c, f) for c, f in zip(levels[i].spaces, levels[i + 1].spaces))
@@ -315,6 +381,20 @@ class TestAssembledLevels:
         assert new.iterations == old.iterations
         gap = np.linalg.norm(new.coefficients - old.coefficients)
         assert gap <= 1e-10 * np.linalg.norm(old.coefficients)
+
+    def test_mgcg_matches_windows_finest_within_rounding_floor(self):
+        # P=1, G=12: penalty entries near 1e11 put the rounding floor far
+        # above the tolerance, so the two finest storages may differ by it
+        data = make_dataset(1, 20_000, seed=9)
+        hier = build_hierarchy(data, 12, 1.0)
+        assert [op.storage for op in hier.levels].count("csr") == 12
+        cfg = SolverConfig(tolerance=1e-8)
+        new, old = mgcg_solve(hier, cfg=cfg), mgcg_solve(windows_finest(hier), cfg=cfg)
+        assert new.converged and old.converged
+        assert new.iterations == old.iterations
+        assert new.rounding_floor > 1e-8
+        gap = np.linalg.norm(new.coefficients - old.coefficients)
+        assert gap <= new.rounding_floor * np.linalg.norm(old.coefficients)
 
 
 class TestIdentifiability:

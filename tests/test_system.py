@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ from splinemg import (
 )
 from splinemg import kernels
 from splinemg.system import LevelOperator
+from splinemg.tensorops import stored_size
 from conftest import make_dataset
 from oracles import dense_rhs, dense_system_matrix, dense_tensor_design
 
@@ -157,6 +160,41 @@ class TestRhs:
         off = int(op.design.offsets[0, 0])
         expected[off : off + 4] = op.design.values[0, 0, :4]
         npt.assert_allclose(op.rhs(), expected, atol=1e-14)
+
+
+    def test_assembled_level_keeps_rhs_of_training_responses(self, monkeypatch, rng):
+        data = make_dataset(2, 300, seed=12)
+        op = LevelOperator(data, 3, 1.0).assemble(keep_rhs=True)
+        kept = op.rhs()
+        npt.assert_allclose(kept, dense_rhs(op), rtol=1e-12, atol=1e-12)
+        penalty = sum(stored_size(g) for t in op.penalty for g in t.factors)
+        helpers = op.design.rel.size + op.design.digits.size
+        # CSR, penalty factors, window odometer, diagonal and the kept B'y
+        assert op.memory_reals() == stored_size(op.matrix) + penalty + helpers + 2 * op.size
+        y = rng.standard_normal(data.n)
+        npt.assert_allclose(op.rhs(y), dense_rhs(op, y), rtol=1e-12, atol=1e-12)
+        # the default right-hand side is a copy of the kept vector, formed
+        # without evaluating the basis again
+        monkeypatch.setattr("splinemg.system.design_factors", None)
+        kept[:] = 0.0
+        npt.assert_allclose(op.rhs(), dense_rhs(op), rtol=1e-12, atol=1e-12)
+
+
+class TestAbsApply:
+    @pytest.mark.parametrize("num_axes", [1, 2])
+    def test_matches_dense_absolute_operators(self, num_axes, rng):
+        data = make_dataset(num_axes, 150, seed=num_axes)
+        op = build_level(data, 2, 0.7)
+        v = np.abs(rng.standard_normal(op.size))
+        design = dense_tensor_design(op.spaces, data.points)
+        penalty_bound = sum(
+            (op.lam * t.weight) * reduce(np.kron, [np.abs(g.toarray()) for g in t.factors])
+            for t in op.penalty)
+        windows = op.abs_apply(v)
+        npt.assert_allclose(windows, (design.T @ design + penalty_bound) @ v, rtol=1e-12)
+        assembled = op.assemble().abs_apply(v)
+        npt.assert_allclose(assembled, np.abs(dense_system_matrix(op)) @ v, rtol=1e-12)
+        assert np.all(assembled <= windows * (1 + 1e-12))
 
 
 class TestDiagonal:
