@@ -2,10 +2,10 @@
 
 Everything here assembles dense matrices by probing linear maps with unit
 vectors, so all routines are guarded by the dense cap.  The module provides
-the preconditioned-operator probe, eigenvalue/condition reports, the
-stationary-iteration error propagator of the V-cycle, and a dense
-symmetric Gauss-Seidel smoother reference that the matrix-free path
-deliberately does not offer (``SolverConfig(preconditioner='mg-ssor')``).
+the preconditioned-operator probes, eigenvalue/condition reports and the
+stationary-iteration error propagator of the V-cycle.  The preconditioners
+probed are the solver's own, built by `multigrid.preconditioner` from the
+names of `multigrid.PRECONDITIONERS`.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, NumericError, ParameterError
-from .multigrid import Hierarchy, effective_jacobi_step, v_cycle
+from .multigrid import Hierarchy, effective_jacobi_step, gauss_seidel_smoother, preconditioner
 from .system import DENSE_CAP
 
 
@@ -71,110 +71,61 @@ def _check_cap(size: int, cap: int, what: str) -> None:
         raise CapacityError(f"{what} of dimension {size} exceeds dense cap {cap}")
 
 
-class SsorVcycleReference:
-    """V-cycle preconditioner with dense symmetric Gauss-Seidel sweeps.
-
-    The symmetric sweep (a forward then a backward Gauss-Seidel sweep) needs
-    every entry of the level matrices, so all levels are assembled densely
-    up front; this is the comparison baseline the matrix-free Jacobi
-    smoother is measured against.  Instances are callable as a
-    preconditioner ``r -> z``.
-    """
-
-    def __init__(self, hier: Hierarchy, cap: int = DENSE_CAP):
-        _check_cap(hier.finest.size, cap, "dense smoother reference")
-        self.hier = hier
-        self.matrices = [op.assemble_dense(cap) for op in hier.levels]
-
-    @staticmethod
-    def _sweep(a: np.ndarray, alpha: np.ndarray, b) -> None:
-        """One symmetric sweep in place: ``alpha += (D + L)^{-1} (b - A alpha)``,
-        then the same with ``D + U``.  ``alpha`` may hold several columns."""
-        alpha += scipy.linalg.solve_triangular(a, b - a @ alpha, lower=True)
-        alpha += scipy.linalg.solve_triangular(a, b - a @ alpha, lower=False)
-
-    def smoother(self, g: int, alpha, b, steps: int) -> np.ndarray:
-        a = self.matrices[g - 1]
-        alpha = np.zeros(a.shape[0]) if alpha is None else np.array(alpha, dtype=np.float64)
-        for _ in range(steps):
-            self._sweep(a, alpha, b)
-        return alpha
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return v_cycle(self.hier, None, r, self.hier.num_levels, smoother=self.smoother)
-
-
-def _preconditioner(hier: Hierarchy, smoother: str, cap: int):
-    if smoother == "identity":
-        return lambda r: r
-    if smoother == "jacobi":
-        return lambda r: v_cycle(hier, None, r, hier.num_levels)
-    if smoother == "ssor":
-        return SsorVcycleReference(hier, cap)
-    raise ParameterError(f"smoother must be 'jacobi', 'ssor' or 'identity', got {smoother!r}")
-
-
-def probe_preconditioned(hier: Hierarchy, smoother: str = "jacobi", cap: int = DENSE_CAP) -> np.ndarray:
-    """Assemble ``M^{-1} A`` columnwise: one operator application plus one
-    V-cycle from zero per unit vector."""
-    op = hier.finest
-    _check_cap(op.size, cap, "preconditioned-operator probe")
-    precond = _preconditioner(hier, smoother, cap)
-    out = np.empty((op.size, op.size))
-    e = np.zeros(op.size)
-    for j in range(op.size):
+def _columns(size: int, column) -> np.ndarray:
+    """Dense ``size x size`` matrix whose column ``j`` is ``column(e_j)``."""
+    out = np.empty((size, size))
+    e = np.zeros(size)
+    for j in range(size):
         e[j] = 1.0
-        out[:, j] = precond(op.apply(e))
+        out[:, j] = column(e)
         e[j] = 0.0
     return out
+
+
+def probe_preconditioned(hier: Hierarchy, name: str = "mg-jacobi", cap: int = DENSE_CAP) -> np.ndarray:
+    """Assemble ``M^{-1} A`` columnwise for the preconditioner ``name`` (one
+    of `PRECONDITIONERS`): one operator application plus one application of
+    the preconditioner per unit vector."""
+    op = hier.finest
+    _check_cap(op.size, cap, "preconditioned-operator probe")
+    precond, _ = preconditioner(hier, name)
+    return _columns(op.size, lambda e: precond(op.apply(e)))
 
 
 def probe_inverse_preconditioner(
-    hier: Hierarchy, smoother: str = "jacobi", cap: int = DENSE_CAP
+    hier: Hierarchy, name: str = "mg-jacobi", cap: int = DENSE_CAP
 ) -> np.ndarray:
-    """Assemble ``M^{-1}`` columnwise (one V-cycle from zero per unit vector)."""
-    op = hier.finest
-    _check_cap(op.size, cap, "preconditioner probe")
-    precond = _preconditioner(hier, smoother, cap)
-    out = np.empty((op.size, op.size))
-    e = np.zeros(op.size)
-    for j in range(op.size):
-        e[j] = 1.0
-        out[:, j] = precond(e.copy())
-        e[j] = 0.0
-    return out
-
-
-def _smoother_propagator(a: np.ndarray, level, kind: str, omega: float) -> np.ndarray:
-    """Single-sweep error propagator ``I - M_s^{-1} A`` of a smoother."""
-    k = a.shape[0]
-    if kind == "jacobi":
-        step = effective_jacobi_step(level, omega)
-        return np.eye(k) - step * (a / level.diagonal()[:, None])
-    if kind == "ssor":
-        # the sweep maps the error e to S e when the right-hand side is zero
-        s = np.eye(k)
-        SsorVcycleReference._sweep(a, s, 0.0)
-        return s
-    raise ParameterError(f"smoother must be 'jacobi' or 'ssor', got {kind!r}")
+    """Assemble ``M^{-1}`` columnwise (one application of the preconditioner
+    ``name`` per unit vector)."""
+    _check_cap(hier.finest.size, cap, "preconditioner probe")
+    precond, _ = preconditioner(hier, name)
+    return _columns(hier.finest.size, lambda e: precond(e.copy()))
 
 
 def iteration_matrix(
     hier: Hierarchy,
     g: int | None = None,
-    smoother: str = "jacobi",
+    name: str = "mg-jacobi",
     cap: int = DENSE_CAP,
 ) -> np.ndarray:
-    """Error propagator of the V-cycle as a stationary iteration.
+    """Error propagator of the V-cycle preconditioner ``name`` (``'mg-jacobi'``
+    or ``'mg-ssor'``) as a stationary iteration.
 
     Built by the two-grid recursion: zero on the coarsest level, and on each
     finer level post-smoothing times the coarse-grid correction
     ``I - I_up (I - C_coarse) A_coarse^{-1} I_down A`` times pre-smoothing.
+    A single-sweep smoother propagator is ``I - step D^{-1} A`` for Jacobi
+    and, for symmetric Gauss-Seidel, the image of the identity's columns
+    under one sweep of `gauss_seidel_smoother` with a zero right-hand side.
     The stationary V-cycle converges iff the spectral radius is below one.
     """
+    if name not in ("mg-jacobi", "mg-ssor"):
+        raise ParameterError(f"name must be 'mg-jacobi' or 'mg-ssor', got {name!r}")
     g = hier.num_levels if g is None else int(g)
     _check_cap(hier.level(g).size, cap, "iteration-matrix assembly")
     dense = [hier.level(gg).assemble_dense(cap) for gg in range(1, g + 1)]
+    if name == "mg-ssor":
+        smoother, _ = gauss_seidel_smoother(hier)
     c = np.zeros((dense[0].shape[0], dense[0].shape[0]))
     for gg in range(2, g + 1):
         a = dense[gg - 1]
@@ -182,7 +133,13 @@ def iteration_matrix(
         coarse_correction = np.eye(a.shape[0]) - prolong @ (
             (np.eye(prolong.shape[1]) - c) @ np.linalg.solve(dense[gg - 2], prolong.T @ a)
         )
-        s = _smoother_propagator(a, hier.level(gg), smoother, hier.omega)
+        if name == "mg-jacobi":
+            level = hier.level(gg)
+            s = np.eye(a.shape[0]) - effective_jacobi_step(level, hier.omega) * (
+                a / level.diagonal()[:, None])
+        else:
+            # one sweep maps the error e to S e when the right-hand side is zero
+            s = smoother(gg, np.eye(a.shape[0]), 0.0, 1)
         c = (
             np.linalg.matrix_power(s, hier.nu2)
             @ coarse_correction
@@ -201,10 +158,7 @@ def condition_summary(hier: Hierarchy, include_ssor: bool = True, cap: int = DEN
     _check_cap(op.size, cap, "condition summary")
     a = op.assemble_dense(cap)
     reports = {"plain": spectrum(a, label="plain")}
-    for kind, key in (("jacobi", "mg-jacobi"), ("ssor", "mg-ssor")):
-        if kind == "ssor" and not include_ssor:
-            continue
-        minv = probe_inverse_preconditioner(hier, kind, cap)
-        minv_a = minv @ a
-        reports[key] = spectrum(minv_a, similarity=a, label=key)
+    for name in ("mg-jacobi", "mg-ssor") if include_ssor else ("mg-jacobi",):
+        minv_a = probe_inverse_preconditioner(hier, name, cap) @ a
+        reports[name] = spectrum(minv_a, similarity=a, label=name)
     return reports

@@ -23,9 +23,11 @@ stderr); non-finite coordinates are an error.
 
 Every flag's default is the matching `RunConfig` field default.  ``--precond``
 is `SolverConfig.preconditioner`: every solve goes through `mgcg_solve`,
-which dispatches on it.  ``--dense-cap`` is the hierarchy's ``dense_cap``
-(Cholesky coarse solve up to that size, and the cap of the ``mg-ssor``
-reference and the ``analyze`` probes).
+which dispatches on it; ``mg-ssor`` smooths by symmetric Gauss-Seidel with
+sparse triangular solves on each level's CSR matrix.  ``--dense-cap`` is the
+hierarchy's ``dense_cap`` (Cholesky coarse solve up to that size, the
+largest finest level ``mg-ssor`` accepts, and the cap of the ``analyze``
+probes).
 """
 from __future__ import annotations
 
@@ -48,8 +50,8 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .multigrid import build_hierarchy
-from .solvers import PRECONDITIONERS, SolverConfig, mgcg_solve
+from .multigrid import PRECONDITIONERS, build_hierarchy
+from .solvers import SolverConfig, mgcg_solve
 from .system import DENSE_CAP, ScatteredDataset, design_factors, normalize_degrees
 from .tensorops import khatri_rao_tmatvec
 
@@ -97,6 +99,8 @@ class RunConfig:
             raise ParameterError("--nu1/--nu2 must be non-negative")
         if not 0 < self.omega < 2:
             raise ParameterError(f"--omega must be in (0, 2), got {self.omega}")
+        if not np.isfinite(self.noise):
+            raise ParameterError(f"--noise must be finite, got {self.noise}")
         if self.input is None and (self.n < 1 or self.noise < 0):
             raise ParameterError("generator needs --n >= 1 and --noise >= 0")
         if self.grid < 0:
@@ -138,7 +142,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nu2", type=int, default=RunConfig.nu2, help="post-smoothing sweeps")
     parser.add_argument("--omega", type=float, default=RunConfig.omega, help="Jacobi damping")
     parser.add_argument("--precond", choices=PRECONDITIONERS, default=RunConfig.precond,
-                        help="solver preconditioner")
+                        help="solver preconditioner: plain CG, or one V-cycle per step "
+                        "with damped Jacobi or sparse symmetric Gauss-Seidel smoothing")
     parser.add_argument("--seed", type=int, default=RunConfig.seed, help="generator seed")
     parser.add_argument("--n", type=int, default=RunConfig.n, help="generated sample count")
     parser.add_argument("--noise", type=float, default=RunConfig.noise,
@@ -174,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", default=None, help="dataset file (default: generate)")
     p.add_argument("--output", default=None, help="JSON report file")
-    p.add_argument("--skip-ssor", action="store_true", help="skip the dense-smoother reference")
+    p.add_argument("--skip-ssor", action="store_true", help="skip the mg-ssor spectrum")
 
     p = sub.add_parser("bench", help="iterations vs refinement level, CG against MGCG")
     _add_common(p)
@@ -407,6 +412,8 @@ def _cmd_bench(args) -> int:
     cfg = _config_from_args(args).validate()
     if args.g_min < 2 or args.g_max < args.g_min:
         raise ParameterError("need 2 <= --g-min <= --g-max")
+    if cfg.precond == "none":
+        raise ParameterError("bench sets plain CG beside --precond; choose mg-jacobi or mg-ssor")
     data, _ = _load_points(cfg)
     rows = []
     header = ("G", "K", "cg_iters", "cg_seconds", "mgcg_iters", "mgcg_seconds")

@@ -38,8 +38,8 @@ def generate_dataset(num_axes: int, n: int, noise: float = 0.1, seed: int = 0) -
         raise ParameterError(f"dimension must be >= 1, got {num_axes}")
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
-    if noise < 0:
-        raise ParameterError(f"noise level must be >= 0, got {noise}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ParameterError(f"noise level must be finite and >= 0, got {noise}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""Grid hierarchy, damped Jacobi smoothing and the memory-lean V-cycle.
+"""Grid hierarchy, smoothers, the memory-lean V-cycle and the preconditioners.
 
 Levels ``g = 1..G`` share the dataset, smoothing parameter and degrees; the
 prolongation between consecutive levels is the Kronecker product of the
@@ -17,6 +17,11 @@ level ``G - 1``; levels stay matrix-free until the first one whose band
 nonzeros fit into the window entries of one data pass
 (``n * prod(q + 1)``), so that one CSR product costs no more than one pass
 over the data.  Only the coarsest operator is factorized.
+
+`preconditioner` turns a name of `PRECONDITIONERS` into the ``r -> z`` map
+of one solve step: the identity (``none``), or one V-cycle from zero with
+damped Jacobi (``mg-jacobi``, matrix-free) or symmetric Gauss-Seidel
+(``mg-ssor``, sparse triangular solves on each level's CSR matrix) sweeps.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .bsplines import subdivision_matrix
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import CapacityError, NumericError, ParameterError, ShapeError
 from .system import (
     DENSE_CAP,
     BandPattern,
@@ -43,6 +48,7 @@ from .tensorops import kron_matvec, kron_matvec_transposed, stored_size
 # relative residual tolerance of the nested CG that solves a coarsest level
 # above the dense cap
 COARSE_CG_TOL = 1e-10
+PRECONDITIONERS = ("none", "mg-jacobi", "mg-ssor")
 
 
 class Hierarchy:
@@ -117,11 +123,12 @@ def _check_identifiable(dataset: ScatteredDataset) -> None:
     The penalty vanishes exactly on the affine functions, so the normal
     equations are singular when ``[1, X]`` has rank below ``P + 1`` (all
     points on one hyperplane, for example a single point or collinear points
-    in the plane).
+    in the plane).  The rank is that of ``[1, X]`` on the unit cube, not of the
+    centred ``X``: the rounded mean shifts all rows alike and can lift the rank.
     """
-    points = dataset.points
-    span = dataset.bounds[:, 1] - dataset.bounds[:, 0]
-    rank = 1 + int(np.linalg.matrix_rank((points - points.mean(axis=0)) / span))
+    lower, upper = dataset.bounds[:, 0], dataset.bounds[:, 1]
+    scaled = (dataset.points - lower) / (upper - lower)
+    rank = int(np.linalg.matrix_rank(np.column_stack([np.ones(dataset.n), scaled])))
     if rank < dataset.num_axes + 1:
         raise ParameterError(
             f"the points lie on one affine subspace of dimension {rank - 1} "
@@ -277,6 +284,62 @@ def jacobi_smooth(level: LevelOperator, alpha, b, steps: int, omega: float) -> n
         r = b - level.apply(alpha)
         alpha += dinv * r
     return alpha
+
+
+def gauss_seidel_sweep(matrix, lower, upper, alpha, b) -> None:
+    """One symmetric Gauss-Seidel sweep in place: ``alpha += (D + L)^{-1} (b - A alpha)``,
+    then the same with ``D + U``; ``alpha`` may hold several columns.  ``lower`` and
+    ``upper`` are the triangles of the CSR ``matrix`` (`spsolve_triangular` reads every
+    entry it is given, so ``matrix`` itself cannot stand in for them)."""
+    from scipy.sparse.linalg import spsolve_triangular  # 1.4 MiB: not at package import
+
+    alpha += spsolve_triangular(lower, b - matrix @ alpha, lower=True)
+    alpha += spsolve_triangular(upper, b - matrix @ alpha, lower=False)
+
+
+def gauss_seidel_smoother(hier: Hierarchy):
+    """Symmetric Gauss-Seidel smoother ``(g, alpha, b, steps) -> alpha`` of levels
+    ``2..G`` (``alpha=None``: zero start) and the count of numbers it stores.
+
+    Each level sweeps with its CSR matrix (an assembled level's own, `_band_csr` built
+    once for a windows level) and ``tril``/``triu`` copies of it; the count covers the
+    copies and the windows levels' matrices."""
+    sweeps, stored = {}, 0
+    for op in hier.levels[1:]:
+        matrix = op._band_csr() if op.matrix is None else op.matrix
+        lower = scipy.sparse.tril(matrix, format="csr")
+        upper = scipy.sparse.triu(matrix, format="csr")
+        stored += stored_size(lower) + stored_size(upper)
+        if op.matrix is None:
+            stored += stored_size(matrix)
+        sweeps[op.level] = (matrix, lower, upper)
+
+    def smoother(g, alpha, b, steps):
+        matrix, lower, upper = sweeps[g]
+        alpha = np.zeros(matrix.shape[0]) if alpha is None else np.array(alpha, dtype=np.float64)
+        for _ in range(steps):
+            gauss_seidel_sweep(matrix, lower, upper, alpha, b)
+        return alpha
+
+    return smoother, stored
+
+
+def preconditioner(hier: Hierarchy, name: str):
+    """The ``r -> z`` map named by ``name`` (one of `PRECONDITIONERS`) and the count of
+    numbers it stores beyond the hierarchy: the identity (``'none'``), or one V-cycle
+    from zero with damped Jacobi or `gauss_seidel_smoother` sweeps.  ``'mg-ssor'``
+    raises `CapacityError` when the finest level is larger than ``hier.dense_cap``."""
+    if name == "none":
+        return (lambda r: r), 0
+    if name == "mg-jacobi":
+        return (lambda r: v_cycle(hier, None, r, hier.num_levels)), 0
+    if name == "mg-ssor":
+        if hier.finest.size > hier.dense_cap:
+            raise CapacityError(f"mg-ssor on a finest level of dimension "
+                                f"{hier.finest.size} exceeds dense cap {hier.dense_cap}")
+        smoother, stored = gauss_seidel_smoother(hier)
+        return (lambda r: v_cycle(hier, None, r, hier.num_levels, smoother=smoother)), stored
+    raise ParameterError(f"unknown preconditioner {name!r}; expected one of {PRECONDITIONERS}")
 
 
 def transfer(hier: Hierarchy, g: int, v, direction: str) -> np.ndarray:

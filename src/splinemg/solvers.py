@@ -1,9 +1,9 @@
 """Conjugate gradients, plain and with a multigrid V-cycle preconditioner.
 
 Both solvers share one update loop; plain CG is the preconditioner-free
-case.  `mgcg_solve` selects the preconditioner from
-``SolverConfig.preconditioner``.  The loop keeps only scalar history of the
-previous preconditioned residual product, so a solve holds four (plain) or
+case.  `mgcg_solve` takes the preconditioner that ``SolverConfig.preconditioner``
+names from `multigrid.preconditioner`.  The loop keeps only scalar history of
+the previous preconditioned residual product, so a solve holds four (plain) or
 five (preconditioned) level-sized vectors besides the right-hand side.
 """
 from __future__ import annotations
@@ -14,13 +14,11 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .analysis import SsorVcycleReference
 from .errors import NumericError, ParameterError
-from .multigrid import Hierarchy, v_cycle
+from .multigrid import PRECONDITIONERS, Hierarchy, preconditioner
 from .system import LevelOperator
 
 MAX_ITERATIONS_CAP = 50_000
-PRECONDITIONERS = ("none", "mg-jacobi", "mg-ssor")
 
 
 @dataclass(frozen=True)
@@ -30,8 +28,8 @@ class SolverConfig:
     ``max_iterations=None`` resolves to ``10 * sqrt(K)`` capped at 50000.
     ``preconditioner`` is one of ``PRECONDITIONERS`` and is read by
     `mgcg_solve`: ``'none'`` (plain CG), ``'mg-jacobi'`` (V-cycle with damped
-    Jacobi sweeps) or ``'mg-ssor'`` (V-cycle with the dense symmetric
-    Gauss-Seidel sweeps of `analysis.SsorVcycleReference`).
+    Jacobi sweeps) or ``'mg-ssor'`` (V-cycle with symmetric Gauss-Seidel
+    sweeps, two sparse triangular solves each).
     """
 
     tolerance: float = 1e-8
@@ -180,49 +178,24 @@ def cg_solve(op: LevelOperator, b, cfg: SolverConfig | None = None) -> SolveRepo
     """
     cfg = cfg or SolverConfig(preconditioner="none")
     window = op.design.rel.shape[0] if hasattr(op, "design") else 0
-    return _pcg(
-        op,
-        b,
-        None,
-        cfg.tolerance,
-        cfg.resolved_max_iterations(op.size),
-        aux_reals=window,
-        label="cg",
-    )
+    return _pcg(op, b, None, cfg.tolerance, cfg.resolved_max_iterations(op.size),
+                aux_reals=window, label="cg")
 
 
-def mgcg_solve(
-    hier: Hierarchy, y=None, cfg: SolverConfig | None = None, preconditioner=None
-) -> SolveReport:
+def mgcg_solve(hier: Hierarchy, y=None, cfg: SolverConfig | None = None) -> SolveReport:
     """CG on the finest level, preconditioned as ``cfg.preconditioner`` says.
 
     The right-hand side is the finest-level ``B'y`` (training responses by
     default).  ``'mg-jacobi'`` and ``'mg-ssor'`` apply one V-cycle from a
-    zero initial guess per iteration (the latter densifies every level,
-    guarded by ``hier.dense_cap``, and its memory estimate counts those
-    dense matrices); ``'none'`` returns `cg_solve`'s report (label ``cg``).
-    An explicit ``preconditioner`` callable ``r -> z`` overrides the setting
-    and is not counted in the memory estimate.
+    zero initial guess per iteration (`multigrid.preconditioner`; the memory
+    estimate counts the sparse matrix copies of ``'mg-ssor'``); ``'none'``
+    returns `cg_solve`'s report (label ``cg``).
     """
     cfg = cfg or SolverConfig()
     op = hier.finest
     b = op.rhs(y)
-    aux_reals = hier.workspace_reals() + b.size
-    if preconditioner is None:
-        if cfg.preconditioner == "none":
-            return cg_solve(op, b, cfg)
-        if cfg.preconditioner == "mg-ssor":
-            preconditioner = SsorVcycleReference(hier, cap=hier.dense_cap)
-            aux_reals += sum(m.size for m in preconditioner.matrices)
-        else:
-            def preconditioner(r):
-                return v_cycle(hier, None, r, hier.num_levels)
-    return _pcg(
-        op,
-        b,
-        preconditioner,
-        cfg.tolerance,
-        cfg.resolved_max_iterations(op.size),
-        aux_reals=aux_reals,
-        label="mgcg",
-    )
+    if cfg.preconditioner == "none":
+        return cg_solve(op, b, cfg)
+    precond, stored = preconditioner(hier, cfg.preconditioner)
+    return _pcg(op, b, precond, cfg.tolerance, cfg.resolved_max_iterations(op.size),
+                aux_reals=hier.workspace_reals() + b.size + stored, label="mgcg")

@@ -3,6 +3,15 @@ import pytest
 
 from splinemg import ScatteredDataset, generate_dataset
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, with no per-example time limit
+    settings.register_profile("reproducible", derandomize=True, deadline=None)
+    settings.load_profile("reproducible")
+
 
 @pytest.fixture(scope="session")
 def rng():

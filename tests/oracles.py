@@ -10,6 +10,7 @@ from functools import reduce
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
+from scipy.linalg import solve_triangular
 
 
 def scipy_basis_column(space, j, deriv=0):
@@ -81,6 +82,35 @@ def dense_rhs(op, y=None):
     phi = dense_tensor_design(op.spaces, op.dataset.points)
     y = op.dataset.responses if y is None else np.asarray(y, dtype=np.float64)
     return phi.T @ y
+
+
+def dense_ssor_vcycle(hier, b):
+    """One V-cycle from zero with dense symmetric Gauss-Seidel sweeps.
+
+    Every level is rediscretized densely from the data
+    (`dense_system_matrix`), each sweep is two dense triangular solves, the
+    transfers are explicit Kronecker products and level 1 is solved directly.
+    """
+    mats = [dense_system_matrix(op) for op in hier.levels]
+
+    def sweep(a, x, rhs):
+        x += solve_triangular(a, rhs - a @ x, lower=True)
+        x += solve_triangular(a, rhs - a @ x, lower=False)
+
+    def cycle(g, rhs):
+        a = mats[g - 1]
+        if g == 1:
+            return np.linalg.solve(a, rhs)
+        x = np.zeros_like(rhs)
+        for _ in range(hier.nu1):
+            sweep(a, x, rhs)
+        prolong = dense_kron(hier.transfers[g - 2])
+        x -= prolong @ cycle(g - 1, prolong.T @ (a @ x - rhs))
+        for _ in range(hier.nu2):
+            sweep(a, x, rhs)
+        return x
+
+    return cycle(hier.num_levels, np.asarray(b, dtype=np.float64))
 
 
 class DenseOperator:

@@ -1,10 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse
 
 from splinemg import CapacityError, NumericError, SolverConfig, build_hierarchy, mgcg_solve, v_cycle
 from splinemg.analysis import (
-    SsorVcycleReference,
     condition_summary,
     iteration_matrix,
     probe_inverse_preconditioner,
@@ -12,6 +12,14 @@ from splinemg.analysis import (
     spectral_radius,
     spectrum,
 )
+from splinemg.multigrid import gauss_seidel_sweep, preconditioner
+
+
+def sweep(a, alpha, b):
+    """`gauss_seidel_sweep` on a dense matrix, with its CSR triangles."""
+    m = scipy.sparse.csr_array(a)
+    gauss_seidel_sweep(m, scipy.sparse.tril(m, format="csr"), scipy.sparse.triu(m, format="csr"),
+                       alpha, b)
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +53,13 @@ class TestSpectrum:
 
 class TestProbe:
     def test_identity_preconditioner_probe_is_dense_operator(self, hier):
-        probe = probe_preconditioned(hier, smoother="identity")
+        probe = probe_preconditioned(hier, "none")
         a = hier.finest.assemble_dense()
         # the probe sums the data term in point order, the assembly cell by cell
         npt.assert_allclose(probe, a, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max()))
 
     def test_probe_self_consistency(self, hier, rng):
-        probe = probe_preconditioned(hier, smoother="jacobi")
+        probe = probe_preconditioned(hier, "mg-jacobi")
         k = hier.finest.size
         j = int(rng.integers(0, k))
         e = np.zeros(k)
@@ -60,7 +68,7 @@ class TestProbe:
         npt.assert_allclose(probe[:, j], direct, atol=1e-12 * max(1.0, np.abs(direct).max()))
 
     def test_jacobi_probe_eigenvalues_clustered(self, hier):
-        probe = probe_preconditioned(hier, smoother="jacobi")
+        probe = probe_preconditioned(hier, "mg-jacobi")
         rep = spectrum(probe, similarity=hier.finest.assemble_dense())
         assert rep.eigenvalues.min() > 0.0
         assert rep.eigenvalues.max() < 2.0
@@ -87,7 +95,7 @@ class TestConditionImprovement:
         assert reports["plain"].eigenvalues.min() > 0.0
 
     def test_identity_probe_spectrum_equals_dense_spectrum(self, hier):
-        probe = probe_preconditioned(hier, smoother="identity")
+        probe = probe_preconditioned(hier, "none")
         a = hier.finest.assemble_dense()
         npt.assert_allclose(
             spectrum(probe).eigenvalues,
@@ -100,8 +108,8 @@ class TestConditionImprovement:
 class TestIterationMatrix:
     @pytest.mark.parametrize("smoother", ["jacobi", "ssor"])
     def test_matches_preconditioner_probe(self, hier, smoother):
-        c = iteration_matrix(hier, smoother=smoother)
-        minv = probe_inverse_preconditioner(hier, smoother=smoother)
+        c = iteration_matrix(hier, name=f"mg-{smoother}")
+        minv = probe_inverse_preconditioner(hier, f"mg-{smoother}")
         a = hier.finest.assemble_dense()
         ref = np.eye(hier.finest.size) - minv @ a
         assert np.abs(c - ref).max() <= 1e-8
@@ -122,7 +130,7 @@ class TestSsorReference:
         hier4 = build_hierarchy(small_dataset_2d, 4, 1.0)
         cfg = SolverConfig(tolerance=1e-8)
         jac = mgcg_solve(hier4, cfg=cfg)
-        ssor = mgcg_solve(hier4, cfg=cfg, preconditioner=SsorVcycleReference(hier4))
+        ssor = mgcg_solve(hier4, cfg=SolverConfig(tolerance=1e-8, preconditioner="mg-ssor"))
         assert ssor.converged and jac.converged
         assert ssor.iterations <= jac.iterations
 
@@ -130,7 +138,7 @@ class TestSsorReference:
         hier0 = build_hierarchy(small_dataset_2d, 3, 1.0, nu1=0, nu2=0)
         b = rng.standard_normal(hier0.finest.size)
         jacobi_result = v_cycle(hier0, None, b)
-        ssor_result = SsorVcycleReference(hier0)(b)
+        ssor_result = preconditioner(hier0, "mg-ssor")[0](b)
         npt.assert_allclose(jacobi_result, ssor_result, atol=1e-12 * max(1.0, np.abs(b).max()))
 
     def test_sweep_matches_gauss_seidel_loop(self, rng):
@@ -144,19 +152,18 @@ class TestSsorReference:
             for i in order:
                 expected[i] += (b[i] - a[i] @ expected) / a[i, i]
         alpha = start.copy()
-        SsorVcycleReference._sweep(a, alpha, b)
+        sweep(a, alpha, b)
         npt.assert_allclose(alpha, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
         # several columns at once are swept like each column alone
         second = 2.0 * start
         block = np.column_stack([start, second])
-        SsorVcycleReference._sweep(a, block, np.column_stack([b, b]))
-        SsorVcycleReference._sweep(a, second, b)
+        sweep(a, block, np.column_stack([b, b]))
+        sweep(a, second, b)
         npt.assert_allclose(block, np.column_stack([alpha, second]), rtol=1e-13)
 
-    def test_sweep_exact_on_diagonal_matrix(self, hier, rng):
-        ref = SsorVcycleReference(hier)
+    def test_sweep_exact_on_diagonal_matrix(self, rng):
         d = np.diag(rng.uniform(1.0, 3.0, 12))
         b = rng.standard_normal(12)
         alpha = np.zeros(12)
-        ref._sweep(d, alpha, b)
+        sweep(d, alpha, b)
         npt.assert_allclose(alpha, b / np.diag(d), atol=1e-14)

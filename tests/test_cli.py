@@ -254,6 +254,16 @@ class TestFit:
         assert code == cli.EXIT_CONFIG
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "generate"])
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exit_code(self, tmp_path, capsys, command, noise):
+        out = tmp_path / "n"
+        code = run([command, "--dim", 1, "--n", 50, "--levels", 2, "--noise", noise,
+                    "--output", out])
+        assert code == cli.EXIT_CONFIG
+        assert "--noise must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_exit_code(self, tmp_path, capsys, lam):
         code = run(["fit", *BASE_FIT[:-4], "--lambda", lam, "--output", tmp_path / "l"])
@@ -376,3 +386,11 @@ class TestBench:
         assert [int(r[0]) for r in rows] == [2, 3, 4]
         for r in rows:
             assert int(r[4]) <= int(r[2])  # mgcg never needs more iterations
+
+    def test_precond_none_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "bench.tsv"
+        code = run(["bench", "--dim", 1, "--n", 500, "--g-min", 2, "--g-max", 3,
+                    "--precond", "none", "--output", out])
+        assert code == cli.EXIT_CONFIG
+        assert "choose mg-jacobi or mg-ssor" in capsys.readouterr().err
+        assert not out.exists()

@@ -44,6 +44,8 @@ class TestGenerateDataset:
         {"num_axes": 2, "n": 0},
         {"num_axes": 2, "n": 5, "noise": -0.1},
         {"num_axes": 2, "n": 5, "seed": -1},
+        {"num_axes": 2, "n": 5, "noise": float("nan")},
+        {"num_axes": 2, "n": 5, "noise": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):

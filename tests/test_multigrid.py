@@ -409,6 +409,12 @@ class TestIdentifiability:
         with pytest.raises(ParameterError, match=r"rank 2 < 3.*affine"):
             build_hierarchy(data, 2, 1.0)
 
+    def test_two_close_points_rejected_in_the_plane(self):
+        # centred at their rounded mean, these two points once read as rank 3
+        data = ScatteredDataset(np.array([[0.0, 0.5], [0.001, 0.501]]), np.array([1.0, 2.0]))
+        with pytest.raises(ParameterError, match=r"rank 2 < 3"):
+            build_hierarchy(data, 1, 1.0)
+
     def test_coplanar_points_rejected_in_3d(self):
         gen = np.random.default_rng(1)
         uv = gen.random((50, 2))

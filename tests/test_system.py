@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from functools import reduce
 
 import numpy as np
@@ -324,3 +327,15 @@ class TestExports:
         assert len(splinemg.__all__) == len(set(splinemg.__all__))
         for name in splinemg.__all__:
             assert hasattr(splinemg, name), name
+
+    def test_cli_import_leaves_sparse_linalg_out(self):
+        # the mg-ssor smoother imports scipy.sparse.linalg (about 1.4 MiB of
+        # resident memory) when it first sweeps; a plain import must not
+        import splinemg
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(splinemg.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, splinemg.cli; print('scipy.sparse.linalg' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
