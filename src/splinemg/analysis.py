@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, NumericError, ParameterError
-from .multigrid import Hierarchy, effective_jacobi_step, gauss_seidel_smoother, preconditioner
+from .multigrid import Hierarchy, gauss_seidel_smoother, jacobi_smooth, preconditioner
 from .system import DENSE_CAP
 
 
@@ -114,10 +114,12 @@ def iteration_matrix(
     Built by the two-grid recursion: zero on the coarsest level, and on each
     finer level post-smoothing times the coarse-grid correction
     ``I - I_up (I - C_coarse) A_coarse^{-1} I_down A`` times pre-smoothing.
-    A single-sweep smoother propagator is ``I - step D^{-1} A`` for Jacobi
-    and, for symmetric Gauss-Seidel, the image of the identity's columns
-    under one sweep of `gauss_seidel_smoother` with a zero right-hand side.
-    The stationary V-cycle converges iff the spectral radius is below one.
+    A smoothing propagator is the image of the identity's columns under the
+    smoother's own ``nu1`` (before) or ``nu2`` (after) steps with a zero
+    right-hand side: the Chebyshev polynomial in ``D^{-1} A`` of
+    `jacobi_smooth` (one column at a time) or ``nu`` sweeps of
+    `gauss_seidel_smoother`.  The stationary V-cycle converges iff the
+    spectral radius is below one.
     """
     if name not in ("mg-jacobi", "mg-ssor"):
         raise ParameterError(f"name must be 'mg-jacobi' or 'mg-ssor', got {name!r}")
@@ -125,7 +127,16 @@ def iteration_matrix(
     _check_cap(hier.level(g).size, cap, "iteration-matrix assembly")
     dense = [hier.level(gg).assemble_dense(cap) for gg in range(1, g + 1)]
     if name == "mg-ssor":
-        smoother, _ = gauss_seidel_smoother(hier)
+        ssor, _ = gauss_seidel_smoother(hier)
+
+    def smoothing(gg, steps):
+        # the smoother maps the error e to S e when the right-hand side is zero
+        size = dense[gg - 1].shape[0]
+        if name == "mg-ssor":
+            return ssor(gg, np.eye(size), 0.0, steps)
+        level, zero = hier.level(gg), np.zeros(size)
+        return _columns(size, lambda e: jacobi_smooth(level, e, zero, steps))
+
     c = np.zeros((dense[0].shape[0], dense[0].shape[0]))
     for gg in range(2, g + 1):
         a = dense[gg - 1]
@@ -133,18 +144,7 @@ def iteration_matrix(
         coarse_correction = np.eye(a.shape[0]) - prolong @ (
             (np.eye(prolong.shape[1]) - c) @ np.linalg.solve(dense[gg - 2], prolong.T @ a)
         )
-        if name == "mg-jacobi":
-            level = hier.level(gg)
-            s = np.eye(a.shape[0]) - effective_jacobi_step(level, hier.omega) * (
-                a / level.diagonal()[:, None])
-        else:
-            # one sweep maps the error e to S e when the right-hand side is zero
-            s = smoother(gg, np.eye(a.shape[0]), 0.0, 1)
-        c = (
-            np.linalg.matrix_power(s, hier.nu2)
-            @ coarse_correction
-            @ np.linalg.matrix_power(s, hier.nu1)
-        )
+        c = smoothing(gg, hier.nu2) @ coarse_correction @ smoothing(gg, hier.nu1)
     return c
 
 

@@ -7,8 +7,9 @@ coordinate columns followed by one response column; ``#`` comments and an
 optional header line are skipped.  A fit writes into its output directory:
 
 * ``report.json``     -- config echo, per-axis scaling maps, spline-space
-  layout, per-level storage (``hierarchy.levels``), solver statistics and
-  memory estimates (key/value JSON),
+  layout, per-level storage and cached ``mg-jacobi`` spectral bound
+  (``hierarchy.levels``), solver statistics and memory estimates (key/value
+  JSON),
 * ``coefficients.txt``-- one coefficient per line, ``%.17e`` (byte-stable),
 * ``residuals.txt``   -- training coordinates and response residuals,
 * ``grid.txt``        -- optional prediction grid (``--grid N`` points/axis).
@@ -50,7 +51,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .multigrid import PRECONDITIONERS, build_hierarchy
+from .multigrid import PRECONDITIONERS, build_hierarchy, cached_spectral_bound
 from .solvers import SolverConfig, mgcg_solve
 from .system import DENSE_CAP, ScatteredDataset, design_factors, normalize_degrees
 from .tensorops import khatri_rao_tmatvec
@@ -76,7 +77,6 @@ class RunConfig:
     max_iter: int | None = None
     nu1: int = 2
     nu2: int = 2
-    omega: float = 0.8
     precond: str = "mg-jacobi"
     seed: int = 0
     n: int = 100_000
@@ -97,8 +97,6 @@ class RunConfig:
         self.solver_config()  # checks --tol, --max-iter and --precond
         if self.nu1 < 0 or self.nu2 < 0:
             raise ParameterError("--nu1/--nu2 must be non-negative")
-        if not 0 < self.omega < 2:
-            raise ParameterError(f"--omega must be in (0, 2), got {self.omega}")
         if not np.isfinite(self.noise):
             raise ParameterError(f"--noise must be finite, got {self.noise}")
         if self.input is None and (self.n < 1 or self.noise < 0):
@@ -124,7 +122,6 @@ class RunConfig:
             degrees=self.degree,
             nu1=self.nu1,
             nu2=self.nu2,
-            omega=self.omega,
             dense_cap=self.dense_cap,
         )
 
@@ -140,10 +137,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="iteration cap (default 10*sqrt(K))")
     parser.add_argument("--nu1", type=int, default=RunConfig.nu1, help="pre-smoothing sweeps")
     parser.add_argument("--nu2", type=int, default=RunConfig.nu2, help="post-smoothing sweeps")
-    parser.add_argument("--omega", type=float, default=RunConfig.omega, help="Jacobi damping")
     parser.add_argument("--precond", choices=PRECONDITIONERS, default=RunConfig.precond,
                         help="solver preconditioner: plain CG, or one V-cycle per step "
-                        "with damped Jacobi or sparse symmetric Gauss-Seidel smoothing")
+                        "with Chebyshev smoothing on the Jacobi-scaled operator or sparse "
+                        "symmetric Gauss-Seidel smoothing")
     parser.add_argument("--seed", type=int, default=RunConfig.seed, help="generator seed")
     parser.add_argument("--n", type=int, default=RunConfig.n, help="generated sample count")
     parser.add_argument("--noise", type=float, default=RunConfig.noise,
@@ -275,7 +272,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "hierarchy": {
             "levels": [
                 {"level": lv.level, "size": lv.size, "storage": lv.storage,
-                 "stored_bytes": lv.memory_reals() * 8}
+                 "stored_bytes": lv.memory_reals() * 8,
+                 "spectral_bound": cached_spectral_bound(lv)}
                 for lv in hier.levels
             ],
         },

@@ -20,8 +20,10 @@ over the data.  Only the coarsest operator is factorized.
 
 `preconditioner` turns a name of `PRECONDITIONERS` into the ``r -> z`` map
 of one solve step: the identity (``none``), or one V-cycle from zero with
-damped Jacobi (``mg-jacobi``, matrix-free) or symmetric Gauss-Seidel
-(``mg-ssor``, sparse triangular solves on each level's CSR matrix) sweeps.
+Chebyshev sweeps on the Jacobi-preconditioned operator ``D^{-1} A``
+(``mg-jacobi``, matrix-free; `jacobi_smooth`) or symmetric Gauss-Seidel
+sweeps (``mg-ssor``, sparse triangular solves with each level's CSR
+triangles; `gauss_seidel_smoother`).
 """
 from __future__ import annotations
 
@@ -63,20 +65,17 @@ class Hierarchy:
         ``g`` to ``g + 1`` (fine-dim x coarse-dim each).
     nu1, nu2 : int
         Pre-/post-smoothing sweeps of the V-cycle.
-    omega : float
-        Jacobi damping factor.
     dense_cap : int
         Largest dimension assembled densely: the coarsest level is solved by
         Cholesky when its size is at most ``dense_cap``, otherwise by nested
         CG to the relative tolerance ``COARSE_CG_TOL``.
     """
 
-    def __init__(self, levels, transfers, nu1, nu2, omega, dense_cap=DENSE_CAP):
+    def __init__(self, levels, transfers, nu1, nu2, dense_cap=DENSE_CAP):
         self.levels = levels
         self.transfers = transfers
         self.nu1 = int(nu1)
         self.nu2 = int(nu2)
-        self.omega = float(omega)
         self.dense_cap = int(dense_cap)
         self._coarse_factor = None
         if levels[0].size <= self.dense_cap:
@@ -110,9 +109,9 @@ class Hierarchy:
 
     def workspace_reals(self) -> int:
         """Float64 count of the V-cycle working vectors (residual, coarse
-        correction and one smoother scratch per level)."""
+        correction and the smoother's residual and direction per level)."""
         sizes = [op.size for op in self.levels]
-        count = sum(2 * sizes[g] + sizes[g - 1] for g in range(1, len(sizes)))
+        count = sum(3 * sizes[g] + sizes[g - 1] for g in range(1, len(sizes)))
         count += max(op.design.rel.shape[0] for op in self.levels)
         return int(count)
 
@@ -175,7 +174,6 @@ def build_hierarchy(
     degrees=3,
     nu1: int = 2,
     nu2: int = 2,
-    omega: float = 0.8,
     dense_cap: int = DENSE_CAP,
 ) -> Hierarchy:
     """Build level operators, transfer factors and the coarse factorization.
@@ -189,8 +187,6 @@ def build_hierarchy(
         raise ParameterError(f"need at least one level, got {num_levels}")
     if nu1 < 0 or nu2 < 0:
         raise ParameterError("smoothing step counts must be non-negative")
-    if not 0 < omega < 2:
-        raise ParameterError(f"damping factor must be in (0, 2), got {omega}")
     degrees = normalize_degrees(degrees, dataset.num_axes)
     _check_identifiable(dataset)
     spaces = [level_spaces(dataset, g, degrees) for g in range(1, num_levels + 1)]
@@ -210,7 +206,13 @@ def build_hierarchy(
         levels[g - 1] = LevelOperator(dataset, g, lam, degrees, matrix=matrix)
     for g in range(assembled + 1, num_levels + 1):
         levels[g - 1] = build_level(dataset, g, lam, degrees)
-    return Hierarchy(levels, transfers, nu1, nu2, omega, dense_cap)
+    return Hierarchy(levels, transfers, nu1, nu2, dense_cap)
+
+
+def cached_spectral_bound(level) -> float | None:
+    """The bound `jacobi_spectral_bound` cached on ``level``, or ``None`` where
+    none was computed; makes no operator application."""
+    return getattr(level, "_jacobi_spectral_bound", None)
 
 
 def jacobi_spectral_bound(level) -> float:
@@ -219,10 +221,9 @@ def jacobi_spectral_bound(level) -> float:
     Runs a short power iteration on the symmetrized form
     ``D^{-1/2} A D^{-1/2}`` from a seeded start vector (deterministic per
     operator size) and caches the slightly inflated result on the operator.
-    The scaled spectrum bounds the stable Jacobi step: sweeps amplify the
-    top modes once the step exceeds ``2 / lambda_max``.
+    It is the upper end of the interval on which `jacobi_smooth` damps.
     """
-    cached = getattr(level, "_jacobi_spectral_bound", None)
+    cached = cached_spectral_bound(level)
     if cached is not None:
         return cached
     scale = 1.0 / np.sqrt(level.diagonal())
@@ -246,55 +247,107 @@ def jacobi_spectral_bound(level) -> float:
     return bound
 
 
-def effective_jacobi_step(level, omega: float) -> float:
-    """Damping actually applied per sweep: ``omega`` itself while the scaled
-    spectrum sits inside the stability window, otherwise ``omega`` as a
-    fraction of the window ``2 / lambda_max`` (higher-dimensional penalties
-    push ``lambda_max(D^{-1}A)`` well above 2, where a fixed step diverges
-    on the finest modes)."""
-    bound = jacobi_spectral_bound(level)
-    return omega if bound <= 2.0 else 2.0 * omega / bound
+def chebyshev_ratio(degrees) -> int:
+    """``c`` of the interval ``[lambda_max / c, lambda_max]`` that `jacobi_smooth`
+    damps: ``max(2, (q - 1) P^2)`` for the largest degree ``q`` of the ``P``
+    axes.  It widens the interval as ``lambda_max(D^{-1} A)`` grows with ``P``
+    (about 5.1, 7.5 and 13.7 for cubics at ``P = 2, 3, 4``); it was chosen by
+    sweeping the ratio on the benchmark shapes, not tuned per level."""
+    return max(2, (max(degrees) - 1) * len(degrees) ** 2)
 
 
-def jacobi_smooth(level: LevelOperator, alpha, b, steps: int, omega: float) -> np.ndarray:
-    """Damped Jacobi sweeps ``alpha += step * r / diag`` on one level.
+def jacobi_smooth(level: LevelOperator, alpha, b, steps: int) -> np.ndarray:
+    """``steps`` Chebyshev steps for ``A alpha = b`` on ``D^{-1} A`` (Adams,
+    Brezina, Hu and Tuminaro, J. Comput. Phys. 188, 2003).
 
-    ``omega`` is the damping fraction of the level's stable step range (see
-    `effective_jacobi_step`).  ``alpha=None`` starts from the zero vector
-    (the first residual is then ``b`` and costs no operator application).
+    The steps minimize the largest error factor on ``[lambda_max / c,
+    lambda_max]``, with ``lambda_max`` the cached `jacobi_spectral_bound` and
+    ``c`` the `chebyshev_ratio` of ``level.degrees``: after ``k`` steps the
+    error is ``T_k((theta - D^{-1} A) / delta) / T_k(theta / delta)`` times
+    the initial one, where ``theta`` and ``delta`` are the interval's centre
+    and half-width.  A step costs one operator application, as a Jacobi
+    sweep does; ``alpha=None`` starts from the zero vector, whose residual is
+    ``b`` at no application.  Besides ``alpha`` a call holds one residual and
+    one direction vector.
     """
     if steps < 0:
         raise ParameterError("step count must be non-negative")
-    if not 0 < omega < 2:
-        raise ParameterError(f"damping factor must be in (0, 2), got {omega}")
     b = np.ascontiguousarray(b, dtype=np.float64)
     if b.shape != (level.size,):
         raise ShapeError(f"expected vector of length {level.size}, got {b.shape}")
-    dinv = (effective_jacobi_step(level, omega) if steps else omega) / level.diagonal()
-    if alpha is None:
+    zero_start = alpha is None
+    if zero_start:
         alpha = np.zeros(level.size)
-        if steps >= 1:
-            alpha += dinv * b
-            steps -= 1
     else:
         alpha = np.array(alpha, dtype=np.float64, copy=True)
         if alpha.shape != (level.size,):
             raise ShapeError(f"expected vector of length {level.size}, got {alpha.shape}")
-    for _ in range(steps):
-        r = b - level.apply(alpha)
-        alpha += dinv * r
+    if steps == 0:
+        return alpha
+    upper = jacobi_spectral_bound(level)
+    lower = upper / chebyshev_ratio(level.degrees)
+    theta, delta = 0.5 * (upper + lower), 0.5 * (upper - lower)
+    sigma = theta / delta
+    diag = level.diagonal()
+    r = b / diag if zero_start else _scaled_residual(level, alpha, b, diag, np.empty(level.size))
+    d = r / theta
+    rho = 1.0 / sigma
+    for k in range(1, steps + 1):
+        alpha += d
+        if k == steps:
+            break
+        _scaled_residual(level, alpha, b, diag, r)
+        rho_next = 1.0 / (2.0 * sigma - rho)
+        d *= rho_next * rho
+        r *= 2.0 * rho_next / delta
+        d += r
+        rho = rho_next
     return alpha
 
 
-def gauss_seidel_sweep(matrix, lower, upper, alpha, b) -> None:
+def _scaled_residual(level, alpha, b, diag, out) -> np.ndarray:
+    """``out = (b - A alpha) / diag`` with one operator application into ``out``."""
+    level.apply(alpha, out=out)
+    np.subtract(b, out, out=out)
+    out /= diag
+    return out
+
+
+def unit_triangles(matrix):
+    """The lower triangle (as CSC) and the upper triangle (as CSR) of the CSR
+    ``matrix``, each row divided by its diagonal entry, and that diagonal.
+
+    `gauss_seidel_sweep` solves with them as unit triangular matrices and
+    lets `spsolve_triangular` work on them in place: given a CSC lower or a
+    CSR upper triangle with 32-bit indices, it neither copies, casts nor
+    rescales it, and it writes only the ones of the unit diagonal into it,
+    which the triangles already hold exactly."""
+    diag = matrix.diagonal()
+    scaled = matrix.copy()
+    scaled.data /= np.repeat(diag, np.diff(matrix.indptr))
+    scaled.setdiag(1.0)
+
+    def triangle(part, fmt):
+        t = part(scaled, format=fmt)
+        if t.nnz <= np.iinfo(np.intc).max:  # SuperLU's index type
+            t.indices, t.indptr = t.indices.astype(np.intc), t.indptr.astype(np.intc)
+        return t
+
+    return triangle(scipy.sparse.tril, "csc"), triangle(scipy.sparse.triu, "csr"), diag
+
+
+def gauss_seidel_sweep(matrix, lower, upper, diag, alpha, b) -> None:
     """One symmetric Gauss-Seidel sweep in place: ``alpha += (D + L)^{-1} (b - A alpha)``,
-    then the same with ``D + U``; ``alpha`` may hold several columns.  ``lower`` and
-    ``upper`` are the triangles of the CSR ``matrix`` (`spsolve_triangular` reads every
-    entry it is given, so ``matrix`` itself cannot stand in for them)."""
+    then the same with ``D + U``; ``alpha`` may hold several columns.  ``lower``,
+    ``upper`` and ``diag`` are the `unit_triangles` of the CSR ``matrix``, so each
+    half-sweep solves ``D^{-1} (D + L)`` with ``D^{-1} (b - A alpha)``."""
     from scipy.sparse.linalg import spsolve_triangular  # 1.4 MiB: not at package import
 
-    alpha += spsolve_triangular(lower, b - matrix @ alpha, lower=True)
-    alpha += spsolve_triangular(upper, b - matrix @ alpha, lower=False)
+    for triangle, is_lower in ((lower, True), (upper, False)):
+        # the transposes divide each row of a column block by its diagonal entry
+        rhs = ((b - matrix @ alpha).T / diag).T
+        alpha += spsolve_triangular(triangle, rhs, lower=is_lower, unit_diagonal=True,
+                                    overwrite_A=True, overwrite_b=True)
 
 
 def gauss_seidel_smoother(hier: Hierarchy):
@@ -302,23 +355,22 @@ def gauss_seidel_smoother(hier: Hierarchy):
     ``2..G`` (``alpha=None``: zero start) and the count of numbers it stores.
 
     Each level sweeps with its CSR matrix (an assembled level's own, `_band_csr` built
-    once for a windows level) and ``tril``/``triu`` copies of it; the count covers the
-    copies and the windows levels' matrices."""
+    once for a windows level) and its `unit_triangles`; the count covers the triangles,
+    their diagonals and the windows levels' matrices."""
     sweeps, stored = {}, 0
     for op in hier.levels[1:]:
         matrix = op._band_csr() if op.matrix is None else op.matrix
-        lower = scipy.sparse.tril(matrix, format="csr")
-        upper = scipy.sparse.triu(matrix, format="csr")
-        stored += stored_size(lower) + stored_size(upper)
+        lower, upper, diag = unit_triangles(matrix)
+        stored += stored_size(lower) + stored_size(upper) + diag.size
         if op.matrix is None:
             stored += stored_size(matrix)
-        sweeps[op.level] = (matrix, lower, upper)
+        sweeps[op.level] = (matrix, lower, upper, diag)
 
     def smoother(g, alpha, b, steps):
-        matrix, lower, upper = sweeps[g]
+        matrix = sweeps[g][0]
         alpha = np.zeros(matrix.shape[0]) if alpha is None else np.array(alpha, dtype=np.float64)
         for _ in range(steps):
-            gauss_seidel_sweep(matrix, lower, upper, alpha, b)
+            gauss_seidel_sweep(*sweeps[g], alpha, b)
         return alpha
 
     return smoother, stored
@@ -327,7 +379,7 @@ def gauss_seidel_smoother(hier: Hierarchy):
 def preconditioner(hier: Hierarchy, name: str):
     """The ``r -> z`` map named by ``name`` (one of `PRECONDITIONERS`) and the count of
     numbers it stores beyond the hierarchy: the identity (``'none'``), or one V-cycle
-    from zero with damped Jacobi or `gauss_seidel_smoother` sweeps.  ``'mg-ssor'``
+    from zero with `jacobi_smooth` or `gauss_seidel_smoother` sweeps.  ``'mg-ssor'``
     raises `CapacityError` when the finest level is larger than ``hier.dense_cap``."""
     if name == "none":
         return (lambda r: r), 0
@@ -417,7 +469,7 @@ def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> n
     Pre-smooth, restrict the residual ``A alpha - b``, recurse from a zero
     initial guess, subtract the prolonged coarse correction, post-smooth;
     level 1 is solved by `coarse_solve`.  ``alpha=None`` means a zero start.
-    ``smoother(g, alpha, b, steps)`` may replace the damped Jacobi default.
+    ``smoother(g, alpha, b, steps)`` may replace the `jacobi_smooth` default.
     """
     g = hier.num_levels if g is None else int(g)
     if g == 1:
@@ -429,7 +481,7 @@ def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> n
 
     if smoother is None:
         def smoother(gg, a, rhs, steps):
-            return jacobi_smooth(hier.level(gg), a, rhs, steps, hier.omega)
+            return jacobi_smooth(hier.level(gg), a, rhs, steps)
 
     alpha = smoother(g, alpha, b, hier.nu1)
     r = level.apply(alpha) - b

@@ -27,9 +27,10 @@ class SolverConfig:
 
     ``max_iterations=None`` resolves to ``10 * sqrt(K)`` capped at 50000.
     ``preconditioner`` is one of ``PRECONDITIONERS`` and is read by
-    `mgcg_solve`: ``'none'`` (plain CG), ``'mg-jacobi'`` (V-cycle with damped
-    Jacobi sweeps) or ``'mg-ssor'`` (V-cycle with symmetric Gauss-Seidel
-    sweeps, two sparse triangular solves each).
+    `mgcg_solve`: ``'none'`` (plain CG), ``'mg-jacobi'`` (V-cycle with
+    Chebyshev sweeps on the Jacobi-scaled operator ``D^{-1} A``) or
+    ``'mg-ssor'`` (V-cycle with symmetric Gauss-Seidel sweeps, two sparse
+    triangular solves each).
     """
 
     tolerance: float = 1e-8

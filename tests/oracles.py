@@ -116,11 +116,13 @@ def dense_ssor_vcycle(hier, b):
 class DenseOperator:
     """Duck-typed stand-in for a level operator backed by an explicit
     symmetric matrix; used to exercise solver/smoother algorithms on
-    hand-picked spectra."""
+    hand-picked spectra.  ``degrees`` stands in for the per-axis spline
+    degrees that the Chebyshev smoother reads."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, degrees=(3,)):
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.size = self.matrix.shape[0]
+        self.degrees = tuple(degrees)
 
     def apply(self, alpha, out=None):
         res = self.matrix @ alpha

@@ -12,14 +12,13 @@ from splinemg.analysis import (
     spectral_radius,
     spectrum,
 )
-from splinemg.multigrid import gauss_seidel_sweep, preconditioner
+from splinemg.multigrid import gauss_seidel_sweep, preconditioner, unit_triangles
 
 
 def sweep(a, alpha, b):
-    """`gauss_seidel_sweep` on a dense matrix, with its CSR triangles."""
+    """`gauss_seidel_sweep` on a dense matrix, with its unit triangles."""
     m = scipy.sparse.csr_array(a)
-    gauss_seidel_sweep(m, scipy.sparse.tril(m, format="csr"), scipy.sparse.triu(m, format="csr"),
-                       alpha, b)
+    gauss_seidel_sweep(m, *unit_triangles(m), alpha, b)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +159,19 @@ class TestSsorReference:
         sweep(a, block, np.column_stack([b, b]))
         sweep(a, second, b)
         npt.assert_allclose(block, np.column_stack([alpha, second]), rtol=1e-13)
+
+    def test_sweep_leaves_the_stored_triangles_unchanged(self, hier, rng):
+        m = hier.finest._band_csr()
+        lower, upper, diag = unit_triangles(m)
+        npt.assert_array_equal(lower.diagonal(), 1.0)
+        npt.assert_array_equal(upper.diagonal(), 1.0)
+        saved = [(t.data.copy(), t.indices.copy(), t.indptr.copy()) for t in (lower, upper)]
+        alpha = rng.standard_normal(m.shape[0])
+        gauss_seidel_sweep(m, lower, upper, diag, alpha, rng.standard_normal(m.shape[0]))
+        gauss_seidel_sweep(m, lower, upper, diag, np.eye(m.shape[0]), 0.0)
+        for t, arrays in zip((lower, upper), saved):
+            for now, before in zip((t.data, t.indices, t.indptr), arrays):
+                npt.assert_array_equal(now, before)
 
     def test_sweep_exact_on_diagonal_matrix(self, rng):
         d = np.diag(rng.uniform(1.0, 3.0, 12))

@@ -95,6 +95,33 @@ class TestFit:
         assert all(lv["stored_bytes"] > 0 for lv in levels)
         assert sum(lv["stored_bytes"] for lv in levels) < report["memory"]["hierarchy_bytes"]
 
+    def test_report_lists_cached_spectral_bounds(self, fit_dir):
+        # mg-jacobi smooths levels 2..G, each on its cached bound; level 1 is
+        # solved directly and has none
+        from splinemg import build_hierarchy, generate_dataset
+        from splinemg.multigrid import jacobi_spectral_bound
+
+        report = json.loads((fit_dir / "report.json").read_text())
+        bounds = [lv["spectral_bound"] for lv in report["hierarchy"]["levels"]]
+        cfg = report["config"]
+        hier = build_hierarchy(generate_dataset(2, cfg["n"], cfg["noise"], cfg["seed"]),
+                               cfg["levels"], cfg["lam"])
+        assert bounds == [None] + [jacobi_spectral_bound(op) for op in hier.levels[1:]]
+
+    @pytest.mark.parametrize("precond", ["none", "mg-ssor"])
+    def test_report_spectral_bounds_null_without_chebyshev(self, tmp_path, precond):
+        out = tmp_path / precond
+        assert run(["fit", *BASE_FIT, "--precond", precond, "--max-iter", 5000,
+                    "--output", out]) == cli.EXIT_OK
+        levels = json.loads((out / "report.json").read_text())["hierarchy"]["levels"]
+        assert [lv["spectral_bound"] for lv in levels] == [None] * 3
+
+    def test_omega_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", *BASE_FIT, "--omega", "0.8", "--output", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert "--omega" in capsys.readouterr().err
+
     def test_deterministic_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["fit", *BASE_FIT, "--deterministic", "--output", tmp_path / "x"])

@@ -22,7 +22,12 @@ from splinemg import (
     transfer,
     v_cycle,
 )
-from splinemg.multigrid import first_assembled_level
+from splinemg.multigrid import (
+    cached_spectral_bound,
+    chebyshev_ratio,
+    first_assembled_level,
+    jacobi_spectral_bound,
+)
 from splinemg.solvers import mgcg_solve
 from splinemg.system import BandPattern
 from splinemg.tensorops import stored_size
@@ -35,7 +40,7 @@ def windows_finest(hier):
     finest = hier.finest
     levels = hier.levels[:-1] + [build_level(finest.dataset, finest.level, finest.lam,
                                              finest.degrees)]
-    return Hierarchy(levels, hier.transfers, hier.nu1, hier.nu2, hier.omega, hier.dense_cap)
+    return Hierarchy(levels, hier.transfers, hier.nu1, hier.nu2, hier.dense_cap)
 
 
 @pytest.fixture(scope="module")
@@ -94,19 +99,76 @@ class TestBuildHierarchy:
         with pytest.raises(ParameterError):
             build_hierarchy(small_dataset_2d, 0, 1.0)
         with pytest.raises(ParameterError):
-            build_hierarchy(small_dataset_2d, 2, 1.0, omega=2.5)
+            build_hierarchy(small_dataset_2d, 2, 1.0, nu1=-1)
+        with pytest.raises(TypeError):  # the Jacobi damping setting is gone
+            build_hierarchy(small_dataset_2d, 2, 1.0, omega=0.8)
+
+
+def chebyshev_factor(steps, upper, ratio, eigenvalues):
+    """``T_k((theta - x) / delta) / T_k(theta / delta)`` on ``[upper / ratio, upper]``,
+    evaluated by numpy's Chebyshev series, not by a three-term recurrence."""
+    lower = upper / ratio
+    theta, delta = 0.5 * (upper + lower), 0.5 * (upper - lower)
+    series = [0.0] * steps + [1.0]
+    return (np.polynomial.chebyshev.chebval((theta - eigenvalues) / delta, series)
+            / np.polynomial.chebyshev.chebval(theta / delta, series))
 
 
 class TestJacobiSmooth:
     def test_exact_on_diagonal_system(self):
+        # D^-1 A = I: every step scales the whole error alike, and the
+        # Chebyshev factor at 1 falls below rounding within 25 steps
         level = DenseOperator(np.diag([2.0, 4.0]))
-        out = jacobi_smooth(level, np.zeros(2), np.array([2.0, 4.0]), 1, 1.0)
-        npt.assert_allclose(out, [1.0, 1.0])
+        b = np.array([2.0, 4.0])
+        for steps in (1, 2, 3):
+            out = jacobi_smooth(level, np.zeros(2), b, steps)
+            assert out[0] == pytest.approx(out[1], rel=1e-14)
+            factor = chebyshev_factor(steps, jacobi_spectral_bound(level), 2, np.array([1.0]))
+            npt.assert_allclose(1.0 - out, factor[0], rtol=1e-12)
+        npt.assert_allclose(jacobi_smooth(level, None, b, 25), [1.0, 1.0], rtol=1e-13)
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    def test_error_is_the_chebyshev_polynomial(self, steps, start):
+        # the error after the steps is p(D^-1 A) times the initial error, with
+        # p(D^-1 A) = D^-1/2 Q p(Lambda) Q' D^1/2 from D^-1/2 A D^-1/2 = Q Lambda Q'
+        gen = np.random.default_rng(steps)
+        m = gen.standard_normal((20, 20))
+        a = m @ m.T + np.diag(gen.uniform(1.0, 30.0, 20))
+        level = DenseOperator(a, degrees=(3, 3))  # c = (3 - 1) * 2**2 = 8
+        x_star = gen.standard_normal(20)
+        alpha0 = None if start == "zero" else gen.standard_normal(20)
+        out = jacobi_smooth(level, alpha0, a @ x_star, steps)
+        root = np.sqrt(np.diag(a))
+        eigenvalues, q = np.linalg.eigh(a / np.outer(root, root))
+        factor = chebyshev_factor(steps, jacobi_spectral_bound(level), 8, eigenvalues)
+        poly = (q * factor / root[:, None]) @ (q.T * root)
+        error0 = x_star if alpha0 is None else x_star - alpha0
+        npt.assert_allclose(x_star - out, poly @ error0, rtol=0,
+                            atol=1e-11 * np.abs(error0).max())
+
+    @pytest.mark.parametrize("degrees,ratio", [
+        ((2,), 2), ((3,), 2), ((5,), 4), ((2, 2), 4), ((3, 3), 8), ((5, 2), 16),
+        ((3, 3, 3), 18), ((2, 2, 2), 9), ((3,) * 4, 32),
+    ])
+    def test_interval_ratio_follows_formula(self, degrees, ratio):
+        # c = max(2, (q - 1) P^2) for the largest degree q of the P axes
+        assert chebyshev_ratio(degrees) == ratio
+
+    def test_spectral_bound_cache_read_makes_no_application(self, hier_2d):
+        level = build_level(hier_2d.finest.dataset, 2, 1.0)
+        applies, apply = [], level.apply
+        level.apply = lambda *args, **kwargs: applies.append(1) or apply(*args, **kwargs)
+        assert cached_spectral_bound(level) is None
+        bound = jacobi_spectral_bound(level)
+        assert len(applies) == 20  # the power iteration
+        assert cached_spectral_bound(level) == bound == jacobi_spectral_bound(level)
+        assert len(applies) == 20
 
     def test_zero_steps_returns_input(self, hier_2d, rng):
         level = hier_2d.finest
         alpha = rng.standard_normal(level.size)
-        out = jacobi_smooth(level, alpha, np.zeros(level.size), 0, 0.8)
+        out = jacobi_smooth(level, alpha, np.zeros(level.size), 0)
         npt.assert_array_equal(out, alpha)
         assert out is not alpha  # caller's vector untouched
 
@@ -117,25 +179,25 @@ class TestJacobiSmooth:
         errs = []
         alpha = np.zeros(level.size)
         for _ in range(5):
-            alpha = jacobi_smooth(level, alpha, b, 1, 0.8)
+            alpha = jacobi_smooth(level, alpha, b, 1)
             errs.append(np.linalg.norm(alpha - x_star))
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
     def test_none_start_equals_zero_start(self, hier_2d, rng):
         level = hier_2d.levels[0]
         b = rng.standard_normal(level.size)
-        a = jacobi_smooth(level, None, b, 3, 0.8)
-        z = jacobi_smooth(level, np.zeros(level.size), b, 3, 0.8)
+        a = jacobi_smooth(level, None, b, 3)
+        z = jacobi_smooth(level, np.zeros(level.size), b, 3)
         npt.assert_allclose(a, z, atol=1e-15)
 
     def test_validation(self, hier_2d):
         level = hier_2d.levels[0]
         with pytest.raises(ParameterError):
-            jacobi_smooth(level, None, np.zeros(level.size), -1, 0.8)
-        with pytest.raises(ParameterError):
-            jacobi_smooth(level, None, np.zeros(level.size), 1, 2.0)
+            jacobi_smooth(level, None, np.zeros(level.size), -1)
+        with pytest.raises(TypeError):  # the Jacobi damping argument is gone
+            jacobi_smooth(level, None, np.zeros(level.size), 1, 0.8)
         with pytest.raises(ShapeError):
-            jacobi_smooth(level, None, np.zeros(level.size + 2), 1, 0.8)
+            jacobi_smooth(level, None, np.zeros(level.size + 2), 1)
 
 
 class TestTransfer:
@@ -374,7 +436,7 @@ class TestAssembledLevels:
             tuple(subdivision_matrix(c, f) for c, f in zip(levels[i].spaces, levels[i + 1].spaces))
             for i in range(4)
         ]
-        reference = Hierarchy(levels, transfers, 2, 2, 0.8)
+        reference = Hierarchy(levels, transfers, 2, 2)
         cfg = SolverConfig(tolerance=1e-8)
         new, old = mgcg_solve(hier, cfg=cfg), mgcg_solve(reference, cfg=cfg)
         assert new.converged and old.converged

@@ -166,12 +166,13 @@ class TestMgcg:
         k = hier.finest.size
         jacobi = mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-jacobi"))
         ssor = mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-ssor"))
-        # the triangles of levels 2..G, and the band CSR of a windows level
+        # the triangles of levels 2..G and their diagonals, and the band CSR
+        # of a windows level
         copies = 0
         for op in hier.levels[1:]:
             a = scipy.sparse.csr_array(op.assemble_dense())
             copies += stored_size(scipy.sparse.tril(a, format="csr"))
-            copies += stored_size(scipy.sparse.triu(a, format="csr"))
+            copies += stored_size(scipy.sparse.triu(a, format="csr")) + op.size
             if op.storage == "windows":
                 copies += stored_size(a)
         # workspace, right-hand side and five CG vectors
