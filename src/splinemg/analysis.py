@@ -1,11 +1,11 @@
 """Desk-scale spectral diagnostics of the solvers.
 
 Everything here assembles dense matrices by probing linear maps with unit
-vectors, so all routines are guarded by the dense cap.  The module provides
-the preconditioned-operator probes, eigenvalue/condition reports and the
-stationary-iteration error propagator of the V-cycle.  The preconditioners
-probed are the solver's own, built by `multigrid.preconditioner` from the
-names of `multigrid.PRECONDITIONERS`.
+vectors, so all routines are guarded by the ``dense_cap`` the hierarchy was
+built with.  The module provides the preconditioned-operator probes,
+eigenvalue/condition reports and the stationary-iteration error propagator
+of the V-cycle.  The preconditioners probed are the solver's own, built by
+`multigrid.preconditioner` from the names of `multigrid.PRECONDITIONERS`.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import scipy.linalg
 
 from .errors import CapacityError, NumericError, ParameterError
 from .multigrid import Hierarchy, gauss_seidel_smoother, jacobi_smooth, preconditioner
-from .system import DENSE_CAP
 
 
 @dataclass(frozen=True)
@@ -82,32 +81,25 @@ def _columns(size: int, column) -> np.ndarray:
     return out
 
 
-def probe_preconditioned(hier: Hierarchy, name: str = "mg-jacobi", cap: int = DENSE_CAP) -> np.ndarray:
+def probe_preconditioned(hier: Hierarchy, name: str = "mg-jacobi") -> np.ndarray:
     """Assemble ``M^{-1} A`` columnwise for the preconditioner ``name`` (one
     of `PRECONDITIONERS`): one operator application plus one application of
     the preconditioner per unit vector."""
     op = hier.finest
-    _check_cap(op.size, cap, "preconditioned-operator probe")
+    _check_cap(op.size, hier.dense_cap, "preconditioned-operator probe")
     precond, _ = preconditioner(hier, name)
     return _columns(op.size, lambda e: precond(op.apply(e)))
 
 
-def probe_inverse_preconditioner(
-    hier: Hierarchy, name: str = "mg-jacobi", cap: int = DENSE_CAP
-) -> np.ndarray:
+def probe_inverse_preconditioner(hier: Hierarchy, name: str = "mg-jacobi") -> np.ndarray:
     """Assemble ``M^{-1}`` columnwise (one application of the preconditioner
     ``name`` per unit vector)."""
-    _check_cap(hier.finest.size, cap, "preconditioner probe")
+    _check_cap(hier.finest.size, hier.dense_cap, "preconditioner probe")
     precond, _ = preconditioner(hier, name)
     return _columns(hier.finest.size, lambda e: precond(e.copy()))
 
 
-def iteration_matrix(
-    hier: Hierarchy,
-    g: int | None = None,
-    name: str = "mg-jacobi",
-    cap: int = DENSE_CAP,
-) -> np.ndarray:
+def iteration_matrix(hier: Hierarchy, g: int | None = None, name: str = "mg-jacobi") -> np.ndarray:
     """Error propagator of the V-cycle preconditioner ``name`` (``'mg-jacobi'``
     or ``'mg-ssor'``) as a stationary iteration.
 
@@ -124,8 +116,7 @@ def iteration_matrix(
     if name not in ("mg-jacobi", "mg-ssor"):
         raise ParameterError(f"name must be 'mg-jacobi' or 'mg-ssor', got {name!r}")
     g = hier.num_levels if g is None else int(g)
-    _check_cap(hier.level(g).size, cap, "iteration-matrix assembly")
-    dense = [hier.level(gg).assemble_dense(cap) for gg in range(1, g + 1)]
+    dense = [hier.level(gg).assemble_dense(hier.dense_cap) for gg in range(1, g + 1)]
     if name == "mg-ssor":
         ssor, _ = gauss_seidel_smoother(hier)
 
@@ -148,17 +139,16 @@ def iteration_matrix(
     return c
 
 
-def condition_summary(hier: Hierarchy, include_ssor: bool = True, cap: int = DENSE_CAP) -> dict:
+def condition_summary(hier: Hierarchy, include_ssor: bool = True) -> dict:
     """Spectra of the plain and preconditioned finest-level operators.
 
     Returns a dict of `SpectrumReport` keyed by ``plain``, ``mg-jacobi`` and
     (optionally) ``mg-ssor``.
     """
     op = hier.finest
-    _check_cap(op.size, cap, "condition summary")
-    a = op.assemble_dense(cap)
+    a = op.assemble_dense(hier.dense_cap)
     reports = {"plain": spectrum(a, label="plain")}
     for name in ("mg-jacobi", "mg-ssor") if include_ssor else ("mg-jacobi",):
-        minv_a = probe_inverse_preconditioner(hier, name, cap) @ a
+        minv_a = probe_inverse_preconditioner(hier, name) @ a
         reports[name] = spectrum(minv_a, similarity=a, label=name)
     return reports

@@ -24,11 +24,12 @@ stderr); non-finite coordinates are an error.
 
 Every flag's default is the matching `RunConfig` field default.  ``--precond``
 is `SolverConfig.preconditioner`: every solve goes through `mgcg_solve`,
-which dispatches on it; ``mg-ssor`` smooths by symmetric Gauss-Seidel with
-sparse triangular solves on each level's CSR matrix.  ``--dense-cap`` is the
-hierarchy's ``dense_cap`` (Cholesky coarse solve up to that size, the
-largest finest level ``mg-ssor`` accepts, and the cap of the ``analyze``
-probes).
+which dispatches on it; ``mg-ssor`` smooths by symmetric Gauss-Seidel on one
+scaled CSR triangle per level.  ``--dense-cap`` is the hierarchy's
+``dense_cap``: the Cholesky coarse solve and the ``analyze`` probes form
+dense matrices up to that size, and ``mg-ssor`` refuses a level band of more
+than ``dense_cap**2`` entries.  `CapacityError` and running out of memory
+exit with ``EXIT_CAPACITY``.
 """
 from __future__ import annotations
 
@@ -146,7 +147,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise", type=float, default=RunConfig.noise,
                         help="generated noise std deviation")
     parser.add_argument("--dense-cap", type=int, default=RunConfig.dense_cap,
-                        help="largest dimension assembled densely")
+                        help="largest dimension assembled densely; mg-ssor also "
+                        "refuses a level band of more than its square entries")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,10 +376,8 @@ def _cmd_analyze(args) -> int:
     cfg = _config_from_args(args).validate()
     data, _ = _load_points(cfg)
     hier = cfg.hierarchy(data)
-    reports = analysis.condition_summary(
-        hier, include_ssor=not args.skip_ssor, cap=cfg.dense_cap
-    )
-    rho = analysis.spectral_radius(analysis.iteration_matrix(hier, cap=cfg.dense_cap))
+    reports = analysis.condition_summary(hier, include_ssor=not args.skip_ssor)
+    rho = analysis.spectral_radius(analysis.iteration_matrix(hier))
     print(f"{'operator':<12} {'condition':>12} {'eig min':>12} {'eig max':>12}")
     for key, rep in reports.items():
         print(
@@ -413,13 +413,14 @@ def _cmd_bench(args) -> int:
     if cfg.precond == "none":
         raise ParameterError("bench sets plain CG beside --precond; choose mg-jacobi or mg-ssor")
     data, _ = _load_points(cfg)
-    rows = []
+    rows, unconverged = [], []
     header = ("G", "K", "cg_iters", "cg_seconds", "mgcg_iters", "mgcg_seconds")
     print("\t".join(header))
     for g in range(args.g_min, args.g_max + 1):
         hier = cfg.hierarchy(data, levels=g)
         plain = mgcg_solve(hier, cfg=cfg.solver_config("none"))
         mg = mgcg_solve(hier, cfg=cfg.solver_config())
+        unconverged += [(g, rep.label) for rep in (plain, mg) if not rep.converged]
         row = (g, hier.finest.size, plain.iterations, round(plain.wall_time, 3),
                mg.iterations, round(mg.wall_time, 3))
         rows.append(row)
@@ -430,7 +431,9 @@ def _cmd_bench(args) -> int:
             for row in rows:
                 fh.write("\t".join(str(v) for v in row) + "\n")
         print(f"table written to {args.output}")
-    return EXIT_OK
+    for g, label in unconverged:
+        print(f"G={g}: {label} did not reach the tolerance", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE if unconverged else EXIT_OK
 
 
 _COMMANDS = {
@@ -452,6 +455,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:
+        print(f"capacity error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_CAPACITY
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ class DomainError(SplinemgError, ValueError):
 
 
 class CapacityError(SplinemgError, RuntimeError):
-    """A dense object would exceed the configured dense cap."""
+    """A dense object (or an mg-ssor level band) would exceed the dense cap."""
 
 
 class NumericError(SplinemgError, RuntimeError):

@@ -22,8 +22,8 @@ over the data.  Only the coarsest operator is factorized.
 of one solve step: the identity (``none``), or one V-cycle from zero with
 Chebyshev sweeps on the Jacobi-preconditioned operator ``D^{-1} A``
 (``mg-jacobi``, matrix-free; `jacobi_smooth`) or symmetric Gauss-Seidel
-sweeps (``mg-ssor``, sparse triangular solves with each level's CSR
-triangles; `gauss_seidel_smoother`).
+sweeps (``mg-ssor``, one stored CSR triangle of ``D^{-1/2} A D^{-1/2}`` per
+level; `gauss_seidel_smoother`).
 """
 from __future__ import annotations
 
@@ -313,64 +313,58 @@ def _scaled_residual(level, alpha, b, diag, out) -> np.ndarray:
     return out
 
 
-def unit_triangles(matrix):
-    """The lower triangle (as CSC) and the upper triangle (as CSR) of the CSR
-    ``matrix``, each row divided by its diagonal entry, and that diagonal.
+def scaled_upper_triangle(matrix):
+    """``triu(S)`` of ``S = D^{-1/2} A D^{-1/2}`` for the CSR ``matrix`` ``A``
+    with diagonal ``D``, as CSR with exact ones on its diagonal, and ``root =
+    sqrt(diag A)``.
 
-    `gauss_seidel_sweep` solves with them as unit triangular matrices and
-    lets `spsolve_triangular` work on them in place: given a CSC lower or a
-    CSR upper triangle with 32-bit indices, it neither copies, casts nor
-    rescales it, and it writes only the ones of the unit diagonal into it,
-    which the triangles already hold exactly."""
-    diag = matrix.diagonal()
-    scaled = matrix.copy()
-    scaled.data /= np.repeat(diag, np.diff(matrix.indptr))
-    scaled.setdiag(1.0)
-
-    def triangle(part, fmt):
-        t = part(scaled, format=fmt)
-        if t.nnz <= np.iinfo(np.intc).max:  # SuperLU's index type
-            t.indices, t.indptr = t.indices.astype(np.intc), t.indptr.astype(np.intc)
-        return t
-
-    return triangle(scipy.sparse.tril, "csc"), triangle(scipy.sparse.triu, "csr"), diag
+    ``S`` is symmetric, so the arrays of ``triu(S)`` as CSR are those of
+    ``tril(S)`` as CSC.  With 32-bit indices `spsolve_triangular` works on
+    either in place: it neither copies, casts nor rescales it, and writes
+    into it only the ones of the unit diagonal, which it already holds."""
+    root = np.sqrt(matrix.diagonal())
+    upper = scipy.sparse.triu(matrix, format="csr")
+    upper.data /= np.repeat(root, np.diff(upper.indptr)) * root[upper.indices]
+    upper.setdiag(1.0)
+    if upper.nnz <= np.iinfo(np.intc).max:  # SuperLU's index type
+        upper.indices, upper.indptr = (a.astype(np.intc) for a in (upper.indices, upper.indptr))
+    return upper, root
 
 
-def gauss_seidel_sweep(matrix, lower, upper, diag, alpha, b) -> None:
-    """One symmetric Gauss-Seidel sweep in place: ``alpha += (D + L)^{-1} (b - A alpha)``,
-    then the same with ``D + U``; ``alpha`` may hold several columns.  ``lower``,
-    ``upper`` and ``diag`` are the `unit_triangles` of the CSR ``matrix``, so each
-    half-sweep solves ``D^{-1} (D + L)`` with ``D^{-1} (b - A alpha)``."""
+def gauss_seidel_sweep(upper, root, alpha, b) -> None:
+    """One symmetric Gauss-Seidel sweep for ``A alpha = b`` in place; ``alpha``
+    may hold several columns.  With the `scaled_upper_triangle` ``upper`` and
+    ``root`` of ``A`` it runs on ``x = root * alpha`` and ``b / root``: first
+    ``x = tril(S)^{-1} (b / root - (triu(S) x - x))``, then the same with the
+    triangles swapped, ``tril(S)`` being the CSC view ``upper.T``."""
     from scipy.sparse.linalg import spsolve_triangular  # 1.4 MiB: not at package import
 
-    for triangle, is_lower in ((lower, True), (upper, False)):
-        # the transposes divide each row of a column block by its diagonal entry
-        rhs = ((b - matrix @ alpha).T / diag).T
-        alpha += spsolve_triangular(triangle, rhs, lower=is_lower, unit_diagonal=True,
-                                    overwrite_A=True, overwrite_b=True)
+    lower = upper.T
+    scale = root.reshape(-1, *([1] * (np.ndim(alpha) - 1)))
+    x, bh = alpha * scale, b / scale
+    for solve, product, is_lower in ((lower, upper, True), (upper, lower, False)):
+        x = spsolve_triangular(solve, bh - (product @ x - x), lower=is_lower,
+                               unit_diagonal=True, overwrite_A=True, overwrite_b=True)
+    np.divide(x, scale, out=alpha)
 
 
 def gauss_seidel_smoother(hier: Hierarchy):
     """Symmetric Gauss-Seidel smoother ``(g, alpha, b, steps) -> alpha`` of levels
     ``2..G`` (``alpha=None``: zero start) and the count of numbers it stores.
 
-    Each level sweeps with its CSR matrix (an assembled level's own, `_band_csr` built
-    once for a windows level) and its `unit_triangles`; the count covers the triangles,
-    their diagonals and the windows levels' matrices."""
+    Each level keeps only its `scaled_upper_triangle` and ``root``, cut from
+    its CSR matrix (a windows level's `_band_csr` is dropped once cut)."""
     sweeps, stored = {}, 0
     for op in hier.levels[1:]:
-        matrix = op._band_csr() if op.matrix is None else op.matrix
-        lower, upper, diag = unit_triangles(matrix)
-        stored += stored_size(lower) + stored_size(upper) + diag.size
-        if op.matrix is None:
-            stored += stored_size(matrix)
-        sweeps[op.level] = (matrix, lower, upper, diag)
+        upper, root = scaled_upper_triangle(op._band_csr() if op.matrix is None else op.matrix)
+        stored += stored_size(upper) + root.size
+        sweeps[op.level] = (upper, root)
 
     def smoother(g, alpha, b, steps):
-        matrix = sweeps[g][0]
-        alpha = np.zeros(matrix.shape[0]) if alpha is None else np.array(alpha, dtype=np.float64)
+        upper, root = sweeps[g]
+        alpha = np.zeros(root.size) if alpha is None else np.array(alpha, dtype=np.float64)
         for _ in range(steps):
-            gauss_seidel_sweep(*sweeps[g], alpha, b)
+            gauss_seidel_sweep(upper, root, alpha, b)
         return alpha
 
     return smoother, stored
@@ -380,15 +374,19 @@ def preconditioner(hier: Hierarchy, name: str):
     """The ``r -> z`` map named by ``name`` (one of `PRECONDITIONERS`) and the count of
     numbers it stores beyond the hierarchy: the identity (``'none'``), or one V-cycle
     from zero with `jacobi_smooth` or `gauss_seidel_smoother` sweeps.  ``'mg-ssor'``
-    raises `CapacityError` when the finest level is larger than ``hier.dense_cap``."""
+    raises `CapacityError` when a smoothed level's band holds more than
+    ``hier.dense_cap**2`` entries."""
     if name == "none":
         return (lambda r: r), 0
     if name == "mg-jacobi":
         return (lambda r: v_cycle(hier, None, r, hier.num_levels)), 0
     if name == "mg-ssor":
-        if hier.finest.size > hier.dense_cap:
-            raise CapacityError(f"mg-ssor on a finest level of dimension "
-                                f"{hier.finest.size} exceeds dense cap {hier.dense_cap}")
+        cap = hier.dense_cap ** 2  # entries of the largest dense matrix admitted
+        for op in hier.levels[1:]:
+            nnz = BandPattern(op.spaces).nnz if op.matrix is None else op.matrix.nnz
+            if nnz > cap:
+                raise CapacityError(f"mg-ssor on level {op.level}: its band holds {nnz} "
+                                    f"entries, more than dense_cap**2 = {cap}")
         smoother, stored = gauss_seidel_smoother(hier)
         return (lambda r: v_cycle(hier, None, r, hier.num_levels, smoother=smoother)), stored
     raise ParameterError(f"unknown preconditioner {name!r}; expected one of {PRECONDITIONERS}")

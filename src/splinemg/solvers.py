@@ -30,7 +30,7 @@ class SolverConfig:
     `mgcg_solve`: ``'none'`` (plain CG), ``'mg-jacobi'`` (V-cycle with
     Chebyshev sweeps on the Jacobi-scaled operator ``D^{-1} A``) or
     ``'mg-ssor'`` (V-cycle with symmetric Gauss-Seidel sweeps, two sparse
-    triangular solves each).
+    triangular products and solves each).
     """
 
     tolerance: float = 1e-8
@@ -189,10 +189,14 @@ def mgcg_solve(hier: Hierarchy, y=None, cfg: SolverConfig | None = None) -> Solv
     The right-hand side is the finest-level ``B'y`` (training responses by
     default).  ``'mg-jacobi'`` and ``'mg-ssor'`` apply one V-cycle from a
     zero initial guess per iteration (`multigrid.preconditioner`; the memory
-    estimate counts the sparse matrix copies of ``'mg-ssor'``); ``'none'``
-    returns `cg_solve`'s report (label ``cg``).
+    estimate counts what ``'mg-ssor'`` stores per level) and need ``nu1 + nu2
+    > 0``, as ``P A_c^{-1} P'`` is singular; ``'none'`` returns `cg_solve`'s
+    report (label ``cg``).
     """
     cfg = cfg or SolverConfig()
+    if cfg.preconditioner != "none" and hier.num_levels > 1 and hier.nu1 + hier.nu2 == 0:
+        raise ParameterError(f"{cfg.preconditioner} needs nu1 + nu2 > 0: a V-cycle "
+                             "without smoothing is a singular preconditioner")
     op = hier.finest
     b = op.rhs(y)
     if cfg.preconditioner == "none":

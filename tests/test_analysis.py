@@ -12,13 +12,12 @@ from splinemg.analysis import (
     spectral_radius,
     spectrum,
 )
-from splinemg.multigrid import gauss_seidel_sweep, preconditioner, unit_triangles
+from splinemg.multigrid import gauss_seidel_sweep, preconditioner, scaled_upper_triangle
 
 
 def sweep(a, alpha, b):
-    """`gauss_seidel_sweep` on a dense matrix, with its unit triangles."""
-    m = scipy.sparse.csr_array(a)
-    gauss_seidel_sweep(m, *unit_triangles(m), alpha, b)
+    """`gauss_seidel_sweep` on a dense matrix, with its scaled triangle."""
+    gauss_seidel_sweep(*scaled_upper_triangle(scipy.sparse.csr_array(a)), alpha, b)
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +73,9 @@ class TestProbe:
         assert np.median(np.abs(rep.eigenvalues - 1.0)) < 0.5
 
     def test_capacity_guard(self, small_dataset_2d):
-        big = build_hierarchy(small_dataset_2d, 4, 1.0)
+        big = build_hierarchy(small_dataset_2d, 4, 1.0, dense_cap=100)
         with pytest.raises(CapacityError):
-            probe_preconditioned(big, cap=100)
+            probe_preconditioned(big)
 
 
 class TestConditionImprovement:
@@ -162,15 +161,18 @@ class TestSsorReference:
 
     def test_sweep_leaves_the_stored_triangles_unchanged(self, hier, rng):
         m = hier.finest._band_csr()
-        lower, upper, diag = unit_triangles(m)
-        npt.assert_array_equal(lower.diagonal(), 1.0)
+        upper, root = scaled_upper_triangle(m)
+        lower = upper.T
+        assert lower.format == "csc" and np.shares_memory(lower.data, upper.data)
+        assert upper.indices.dtype == upper.indptr.dtype == np.intc  # SuperLU's index type
         npt.assert_array_equal(upper.diagonal(), 1.0)
-        saved = [(t.data.copy(), t.indices.copy(), t.indptr.copy()) for t in (lower, upper)]
-        alpha = rng.standard_normal(m.shape[0])
-        gauss_seidel_sweep(m, lower, upper, diag, alpha, rng.standard_normal(m.shape[0]))
-        gauss_seidel_sweep(m, lower, upper, diag, np.eye(m.shape[0]), 0.0)
-        for t, arrays in zip((lower, upper), saved):
-            for now, before in zip((t.data, t.indices, t.indptr), arrays):
+        npt.assert_array_equal(root, np.sqrt(m.diagonal()))
+        saved = [a.copy() for a in (upper.data, upper.indices, upper.indptr, root)]
+        k = m.shape[0]
+        gauss_seidel_sweep(upper, root, rng.standard_normal(k), rng.standard_normal(k))
+        gauss_seidel_sweep(upper, root, np.eye(k), 0.0)
+        for t in (upper, lower):
+            for now, before in zip((t.data, t.indices, t.indptr, root), saved):
                 npt.assert_array_equal(now, before)
 
     def test_sweep_exact_on_diagonal_matrix(self, rng):

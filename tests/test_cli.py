@@ -252,6 +252,21 @@ class TestFit:
                     "--output", tmp_path / "cap"])
         assert code == cli.EXIT_CAPACITY
 
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (10**9,)")
+
+        monkeypatch.setattr(cli, "mgcg_solve", exhausted)
+        code = run(["fit", *BASE_FIT, "--output", tmp_path / "m"])
+        assert code == cli.EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: out of memory.") and err.count("\n") == 1
+
+    def test_smootherless_vcycle_exit_code(self, tmp_path, capsys):
+        code = run(["fit", *BASE_FIT, "--nu1", 0, "--nu2", 0, "--output", tmp_path / "s"])
+        assert code == cli.EXIT_CONFIG
+        assert "needs nu1 + nu2 > 0" in capsys.readouterr().err
+
     def test_config_exit_code(self, tmp_path):
         code = run(["fit", *BASE_FIT[:-4], "--lambda", "-1", "--output", tmp_path / "c"])
         assert code == cli.EXIT_CONFIG
@@ -421,3 +436,14 @@ class TestBench:
         assert code == cli.EXIT_CONFIG
         assert "choose mg-jacobi or mg-ssor" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unconverged_solves_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "bench.tsv"
+        code = run(["bench", "--dim", 1, "--n", 500, "--g-min", 2, "--g-max", 3,
+                    "--max-iter", 2, "--output", out])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert len(out.read_text().strip().splitlines()) == 3  # the table is still written
+        err = capsys.readouterr().err
+        for g in (2, 3):
+            for label in ("cg", "mgcg"):
+                assert f"G={g}: {label} did not reach the tolerance" in err

@@ -13,8 +13,10 @@ from splinemg import (
     cg_solve,
     mgcg_solve,
 )
+from splinemg import multigrid
 from splinemg.multigrid import preconditioner
 from splinemg.solvers import _pcg
+from splinemg.system import LevelOperator
 from splinemg.tensorops import stored_size
 from oracles import DenseOperator, dense_ssor_vcycle
 
@@ -166,25 +168,51 @@ class TestMgcg:
         k = hier.finest.size
         jacobi = mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-jacobi"))
         ssor = mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-ssor"))
-        # the triangles of levels 2..G and their diagonals, and the band CSR
-        # of a windows level
+        # one scaled upper triangle and its square-rooted diagonal per level 2..G
         copies = 0
         for op in hier.levels[1:]:
             a = scipy.sparse.csr_array(op.assemble_dense())
-            copies += stored_size(scipy.sparse.tril(a, format="csr"))
             copies += stored_size(scipy.sparse.triu(a, format="csr")) + op.size
-            if op.storage == "windows":
-                copies += stored_size(a)
         # workspace, right-hand side and five CG vectors
         assert jacobi.peak_auxiliary_memory_estimate == 8 * (hier.workspace_reals() + 6 * k)
         assert ssor.peak_auxiliary_memory_estimate == (
             jacobi.peak_auxiliary_memory_estimate + 8 * copies
         )
 
-    def test_precond_mg_ssor_respects_dense_cap(self, small_dataset_2d):
+    def test_precond_mg_ssor_runs_above_dense_cap(self, small_dataset_2d):
+        # the finest level (K=121) is larger than the cap, its band (4,225
+        # entries) within the cap's 100 x 100
         hier = build_hierarchy(small_dataset_2d, 3, 1.0, dense_cap=100)
-        with pytest.raises(CapacityError):
+        assert hier.finest.size > hier.dense_cap
+        rep = mgcg_solve(hier, cfg=SolverConfig(tolerance=1e-10, preconditioner="mg-ssor"))
+        assert rep.converged
+        reference = build_hierarchy(small_dataset_2d, 3, 1.0)
+        exact = np.linalg.solve(reference.finest.assemble_dense(), reference.finest.rhs())
+        assert np.linalg.norm(rep.coefficients - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    def test_precond_mg_ssor_band_cap_checked_before_building(self, small_dataset_2d,
+                                                              monkeypatch):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0, dense_cap=60)
+
+        def forbidden(*args):
+            raise AssertionError("built a band CSR or triangle before the cap check")
+
+        monkeypatch.setattr(LevelOperator, "_band_csr", forbidden)
+        monkeypatch.setattr(multigrid, "scaled_upper_triangle", forbidden)
+        # 60 x 60 = 3,600 entries, below the finest band's 4,225
+        with pytest.raises(CapacityError, match="level 3: its band holds 4225 entries"):
             mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-ssor"))
+
+    @pytest.mark.parametrize("name", ["mg-jacobi", "mg-ssor"])
+    def test_smootherless_vcycle_rejected(self, small_dataset_2d, name):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0, nu1=0, nu2=0)
+        with pytest.raises(ParameterError, match="nu1 \\+ nu2 > 0"):
+            mgcg_solve(hier, cfg=SolverConfig(preconditioner=name))
+        # plain CG reads no smoother
+        assert mgcg_solve(hier, cfg=SolverConfig(preconditioner="none")).label == "cg"
+        # one level is solved directly, with no smoother to miss
+        single = build_hierarchy(small_dataset_2d, 1, 1.0, nu1=0, nu2=0)
+        assert mgcg_solve(single, cfg=SolverConfig(preconditioner=name)).converged
 
     def test_explicit_responses_override(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 3, 1.0)
