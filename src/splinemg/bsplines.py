@@ -7,7 +7,7 @@ cardinal B-spline and the dyadic two-scale relation holds exactly.  The module
 provides basis/derivative evaluation, Gram matrices of derivatives, and the
 refinement (subdivision) matrix between consecutive levels.  Both matrices
 are banded and are returned only as CSR matrices built straight from their
-bands, O(dim * degree) entries each.
+bands, O(dim * degree) entries each, with the indices of `csr_index_dtype`.
 """
 from __future__ import annotations
 
@@ -20,6 +20,12 @@ import scipy.sparse
 from .errors import DomainError, ParameterError
 
 MAX_DEGREE = 5
+
+
+def csr_index_dtype(nnz: int):
+    """CSR index type for ``nnz`` entries (at least one per row and column):
+    ``np.intc``, SuperLU's 32-bit type, where it holds ``nnz``, else ``int64``."""
+    return np.intc if nnz <= np.iinfo(np.intc).max else np.int64
 
 
 @dataclass(frozen=True)
@@ -235,8 +241,7 @@ def gram_matrix(space: SplineSpace1D, deriv: int) -> scipy.sparse.csr_array:
     keep = (cols >= 0) & (cols < space.dim)
     rows, cols = rows[keep], cols[keep]
     data = bands[np.abs(cols - rows), np.minimum(rows, cols)]
-    indptr = np.searchsorted(rows, np.arange(space.dim + 1))
-    return scipy.sparse.csr_array((data, cols, indptr), shape=(space.dim, space.dim))
+    return _csr(data, rows, cols, (space.dim, space.dim))
 
 
 def subdivision_matrix(coarse: SplineSpace1D, fine: SplineSpace1D) -> scipy.sparse.csr_array:
@@ -266,9 +271,14 @@ def subdivision_matrix(coarse: SplineSpace1D, fine: SplineSpace1D) -> scipy.spar
     k = np.tile(np.arange(q + 1, -1, -1), fine.dim)
     cols2 = rows + q - k
     keep = (cols2 % 2 == 0) & (cols2 >= 0) & (cols2 < 2 * coarse.dim)
-    rows, cols, data = rows[keep], cols2[keep] // 2, weights[k[keep]]
-    indptr = np.searchsorted(rows, np.arange(fine.dim + 1))
-    return scipy.sparse.csr_array((data, cols, indptr), shape=(fine.dim, coarse.dim))
+    return _csr(weights[k[keep]], rows[keep], cols2[keep] // 2, (fine.dim, coarse.dim))
+
+
+def _csr(data, rows, cols, shape) -> scipy.sparse.csr_array:
+    """CSR matrix of entries listed row by row with ascending columns."""
+    index = csr_index_dtype(data.size)
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index)
+    return scipy.sparse.csr_array((data, cols.astype(index), indptr), shape=shape)
 
 
 def greville_points(space: SplineSpace1D) -> np.ndarray:

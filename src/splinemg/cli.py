@@ -7,7 +7,7 @@ coordinate columns followed by one response column; ``#`` comments and an
 optional header line are skipped.  A fit writes into its output directory:
 
 * ``report.json``     -- config echo, per-axis scaling maps, spline-space
-  layout, per-level storage and cached ``mg-jacobi`` spectral bound
+  layout, per-level storage and ``mg-jacobi`` spectral bound
   (``hierarchy.levels``), solver statistics and memory estimates (key/value
   JSON),
 * ``coefficients.txt``-- one coefficient per line, ``%.17e`` (byte-stable),
@@ -20,7 +20,8 @@ and are written in row blocks by `datasets.write_table`.
 ``predict`` consumes a fit directory and raw-coordinate points; coordinates
 are mapped through the stored per-axis affine scaling before evaluation.
 Points that map outside the fitted box get ``nan`` (their count goes to
-stderr); non-finite coordinates are an error.
+stderr); non-finite coordinates are an error, and so is a ``report.json``
+whose spaces or scaling maps miss a key or hold a malformed one.
 
 Every flag's default is the matching `RunConfig` field default.  ``--precond``
 is `SolverConfig.preconditioner`: every solve goes through `mgcg_solve`,
@@ -52,7 +53,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .multigrid import PRECONDITIONERS, build_hierarchy, cached_spectral_bound
+from .multigrid import PRECONDITIONERS, build_hierarchy
 from .solvers import SolverConfig, mgcg_solve
 from .system import DENSE_CAP, ScatteredDataset, design_factors, normalize_degrees
 from .tensorops import khatri_rao_tmatvec
@@ -275,7 +276,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "levels": [
                 {"level": lv.level, "size": lv.size, "storage": lv.storage,
                  "stored_bytes": lv.memory_reals() * 8,
-                 "spectral_bound": cached_spectral_bound(lv)}
+                 "spectral_bound": lv.spectral_bound}
                 for lv in hier.levels
             ],
         },
@@ -325,22 +326,53 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
-    report_path = os.path.join(args.model, "report.json")
-    with open(report_path, encoding="utf-8") as fh:
+def _read_model(path):
+    """Axis spaces and per-axis scaling maps of a fit's ``report.json``.
+
+    A missing or malformed key raises `ParameterError` naming the file and
+    the key; a file that is not JSON raises ``ValueError``."""
+    with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
+
+    def field(entry, name, kind, what):
+        key = name.rsplit(".", 1)[-1]
+        if not isinstance(entry, dict) or key not in entry:
+            raise ParameterError(f"{path}: key {name!r} is missing")
+        value = entry[key]
+        if isinstance(value, bool) or not isinstance(value, kind) or value == []:
+            raise ParameterError(f"{path}: key {name!r} must be {what}, got {value!r}")
+        return value
+
+    number, spaces = (int, float), []
+    for i, s in enumerate(field(report, "spaces", list, "a non-empty list")):
+        name = f"spaces[{i}]"
+        lower, upper = (field(s, f"{name}.{k}", number, "a number") for k in ("lower", "upper"))
+        level, degree = (field(s, f"{name}.{k}", int, "an integer") for k in ("level", "degree"))
+        try:
+            spaces.append(build_space(lower, upper, level, degree))
+        except ParameterError as exc:
+            raise ParameterError(f"{path}: key {name!r}: {exc}") from exc
+    scaling = field(report, "scaling", list, "a non-empty list")
+    if len(scaling) != len(spaces):
+        raise ParameterError(f"{path}: key 'scaling' has {len(scaling)} entries for "
+                             f"{len(spaces)} spaces")
+    for i, s in enumerate(scaling):
+        for k in ("lo", "hi"):
+            field(s, f"scaling[{i}].{k}", number, "a number")
+    return tuple(spaces), scaling
+
+
+def _cmd_predict(args) -> int:
+    spaces, scaling = _read_model(os.path.join(args.model, "report.json"))
     alpha = np.loadtxt(os.path.join(args.model, "coefficients.txt"), ndmin=1)
     table = read_table(args.input)
-    dim = len(report["spaces"])
+    dim = len(spaces)
     if table.shape[1] not in (dim, dim + 1):
         raise ShapeError(
             f"{args.input}: expected {dim} coordinate columns (optionally one "
             f"response column), got {table.shape[1]}"
         )
-    points = _apply_scale(table[:, :dim], report["scaling"])
-    spaces = tuple(
-        build_space(s["lower"], s["upper"], s["level"], s["degree"]) for s in report["spaces"]
-    )
+    points = _apply_scale(table[:, :dim], scaling)
     size = int(np.prod([s.dim for s in spaces]))
     if alpha.shape != (size,):
         raise ShapeError(

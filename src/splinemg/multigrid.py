@@ -16,14 +16,15 @@ than with a matrix-free finest level.  Otherwise the walk goes down from
 level ``G - 1``; levels stay matrix-free until the first one whose band
 nonzeros fit into the window entries of one data pass
 (``n * prod(q + 1)``), so that one CSR product costs no more than one pass
-over the data.  Only the coarsest operator is factorized.
+over the data.  Only the coarsest operator is factorized; above the dense
+cap it is solved by the package's CG (`solvers.cg_solve`) instead.
 
 `preconditioner` turns a name of `PRECONDITIONERS` into the ``r -> z`` map
 of one solve step: the identity (``none``), or one V-cycle from zero with
 Chebyshev sweeps on the Jacobi-preconditioned operator ``D^{-1} A``
 (``mg-jacobi``, matrix-free; `jacobi_smooth`) or symmetric Gauss-Seidel
 sweeps (``mg-ssor``, one stored CSR triangle of ``D^{-1/2} A D^{-1/2}`` per
-level; `gauss_seidel_smoother`).
+level, cut from the level's `LevelOperator.band_csr`; `gauss_seidel_smoother`).
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .system import (
     level_spaces,
     normalize_degrees,
 )
-from .tensorops import kron_matvec, kron_matvec_transposed, stored_size
+from .tensorops import kron_diagonal, kron_matvec, kron_matvec_transposed, stored_size
 
 # relative residual tolerance of the nested CG that solves a coarsest level
 # above the dense cap
@@ -82,8 +83,9 @@ class Hierarchy:
             a1 = levels[0].assemble_dense(self.dense_cap)
             try:
                 self._coarse_factor = scipy.linalg.cho_factor(a1)
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-                raise NumericError(f"coarse factorization failed on level 1: {exc}") from exc
+            except scipy.linalg.LinAlgError as exc:
+                raise NumericError(f"coarse factorization failed on level 1: {exc}; "
+                                   f"{_swamped_term(levels[0], a1)}") from exc
 
     @property
     def num_levels(self) -> int:
@@ -114,6 +116,21 @@ class Hierarchy:
         count = sum(3 * sizes[g] + sizes[g - 1] for g in range(1, len(sizes)))
         count += max(op.design.rel.shape[0] for op in self.levels)
         return int(count)
+
+
+def _swamped_term(level, dense) -> str:
+    """Why ``dense``, the ``B'B + lam R`` of a level on identifiable data, is
+    singular in double precision: one term lies below the rounding of the
+    other, which vanishes on some splines."""
+    penalty = sum((level.lam * t.weight) * kron_diagonal(t.factors) for t in level.penalty)
+    if penalty.max() > (np.diagonal(dense) - penalty).max():
+        small, large, kernel, fix = "data term", "penalty", "affine functions", "smaller"
+    else:
+        small, large, kernel, fix = ("penalty", "data term",
+                                     "splines that are zero at every data point", "larger")
+    return (f"at lambda = {level.lam:g} the {small} lies below the rounding of the {large}, "
+            f"which vanishes on {kernel}, so the matrix is singular in double precision; "
+            f"a {fix} lambda avoids it")
 
 
 def _check_identifiable(dataset: ScatteredDataset) -> None:
@@ -181,7 +198,9 @@ def build_hierarchy(
     Levels are assembled into CSR by the size rule of the module docstring
     (`first_assembled_level`), which reads only the dataset's size and the
     spaces.  The coarsest level is factorized by Cholesky when its dimension
-    is at most ``dense_cap`` and solved by nested CG otherwise.
+    is at most ``dense_cap`` and solved by nested CG otherwise.  Every
+    level's diagonal is formed first, so that a ``lam`` whose penalty
+    overflows raises `ParameterError`.
     """
     if num_levels < 1:
         raise ParameterError(f"need at least one level, got {num_levels}")
@@ -198,21 +217,20 @@ def build_hierarchy(
     # CSR levels first, so that the assembly scratch never meets the windows
     # of the finer levels
     levels = [None] * num_levels
-    if assembled:
-        levels[assembled - 1] = LevelOperator(dataset, assembled, lam, degrees).assemble(
-            keep_rhs=assembled == num_levels)
-    for g in range(assembled - 1, 0, -1):
-        matrix = galerkin_product(levels[g].matrix, transfers[g - 1])
-        levels[g - 1] = LevelOperator(dataset, g, lam, degrees, matrix=matrix)
-    for g in range(assembled + 1, num_levels + 1):
-        levels[g - 1] = build_level(dataset, g, lam, degrees)
+    # a lam whose penalty overflows shows in the diagonals, which raise
+    # `ParameterError`, so numpy's warnings on the way there are left out
+    with np.errstate(over="ignore", invalid="ignore"):
+        if assembled:
+            levels[assembled - 1] = LevelOperator(dataset, assembled, lam, degrees).assemble(
+                keep_rhs=assembled == num_levels)
+        for g in range(assembled - 1, 0, -1):
+            matrix = galerkin_product(levels[g].matrix, transfers[g - 1])
+            levels[g - 1] = LevelOperator(dataset, g, lam, degrees, matrix=matrix)
+        for g in range(assembled + 1, num_levels + 1):
+            levels[g - 1] = build_level(dataset, g, lam, degrees)
+        for op in levels[:assembled]:
+            op.diagonal()  # the windows levels' come from `build_level`
     return Hierarchy(levels, transfers, nu1, nu2, dense_cap)
-
-
-def cached_spectral_bound(level) -> float | None:
-    """The bound `jacobi_spectral_bound` cached on ``level``, or ``None`` where
-    none was computed; makes no operator application."""
-    return getattr(level, "_jacobi_spectral_bound", None)
 
 
 def jacobi_spectral_bound(level) -> float:
@@ -220,12 +238,12 @@ def jacobi_spectral_bound(level) -> float:
 
     Runs a short power iteration on the symmetrized form
     ``D^{-1/2} A D^{-1/2}`` from a seeded start vector (deterministic per
-    operator size) and caches the slightly inflated result on the operator.
-    It is the upper end of the interval on which `jacobi_smooth` damps.
+    operator size) and keeps the slightly inflated result in the level's
+    ``spectral_bound``, which a later call returns.  It is the upper end of
+    the interval on which `jacobi_smooth` damps.
     """
-    cached = cached_spectral_bound(level)
-    if cached is not None:
-        return cached
+    if level.spectral_bound is not None:
+        return level.spectral_bound
     scale = 1.0 / np.sqrt(level.diagonal())
     gen = np.random.default_rng(level.size)
     z = gen.standard_normal(level.size)
@@ -239,12 +257,8 @@ def jacobi_spectral_bound(level) -> float:
             mu = 0.0
             break
         z = y / norm_y
-    bound = 1.05 * max(mu, 1e-12)
-    try:
-        level._jacobi_spectral_bound = bound
-    except AttributeError:  # frozen operator-likes just recompute
-        pass
-    return bound
+    level.spectral_bound = 1.05 * max(mu, 1e-12)
+    return level.spectral_bound
 
 
 def chebyshev_ratio(degrees) -> int:
@@ -261,7 +275,7 @@ def jacobi_smooth(level: LevelOperator, alpha, b, steps: int) -> np.ndarray:
     Brezina, Hu and Tuminaro, J. Comput. Phys. 188, 2003).
 
     The steps minimize the largest error factor on ``[lambda_max / c,
-    lambda_max]``, with ``lambda_max`` the cached `jacobi_spectral_bound` and
+    lambda_max]``, with ``lambda_max`` the level's `jacobi_spectral_bound` and
     ``c`` the `chebyshev_ratio` of ``level.degrees``: after ``k`` steps the
     error is ``T_k((theta - D^{-1} A) / delta) / T_k(theta / delta)`` times
     the initial one, where ``theta`` and ``delta`` are the interval's centre
@@ -315,7 +329,8 @@ def _scaled_residual(level, alpha, b, diag, out) -> np.ndarray:
 
 def scaled_upper_triangle(matrix):
     """``triu(S)`` of ``S = D^{-1/2} A D^{-1/2}`` for the CSR ``matrix`` ``A``
-    with diagonal ``D``, as CSR with exact ones on its diagonal, and ``root =
+    with diagonal ``D``, cut by one mask ``column >= row`` over its arrays, as
+    CSR with its index type and exact ones on its diagonal, and ``root =
     sqrt(diag A)``.
 
     ``S`` is symmetric, so the arrays of ``triu(S)`` as CSR are those of
@@ -323,12 +338,14 @@ def scaled_upper_triangle(matrix):
     either in place: it neither copies, casts nor rescales it, and writes
     into it only the ones of the unit diagonal, which it already holds."""
     root = np.sqrt(matrix.diagonal())
-    upper = scipy.sparse.triu(matrix, format="csr")
-    upper.data /= np.repeat(root, np.diff(upper.indptr)) * root[upper.indices]
-    upper.setdiag(1.0)
-    if upper.nnz <= np.iinfo(np.intc).max:  # SuperLU's index type
-        upper.indices, upper.indptr = (a.astype(np.intc) for a in (upper.indices, upper.indptr))
-    return upper, root
+    rows = np.repeat(np.arange(root.size, dtype=matrix.indices.dtype), np.diff(matrix.indptr))
+    keep = matrix.indices >= rows
+    rows, cols = rows[keep], matrix.indices[keep]
+    data = matrix.data[keep] / (root[rows] * root[cols])
+    data[cols == rows] = 1.0
+    indptr = np.zeros_like(matrix.indptr)
+    np.cumsum(np.bincount(rows, minlength=root.size), out=indptr[1:])
+    return scipy.sparse.csr_array((data, cols, indptr), shape=matrix.shape), root
 
 
 def gauss_seidel_sweep(upper, root, alpha, b) -> None:
@@ -353,10 +370,10 @@ def gauss_seidel_smoother(hier: Hierarchy):
     ``2..G`` (``alpha=None``: zero start) and the count of numbers it stores.
 
     Each level keeps only its `scaled_upper_triangle` and ``root``, cut from
-    its CSR matrix (a windows level's `_band_csr` is dropped once cut)."""
+    its `LevelOperator.band_csr` (built and dropped on a windows level)."""
     sweeps, stored = {}, 0
     for op in hier.levels[1:]:
-        upper, root = scaled_upper_triangle(op._band_csr() if op.matrix is None else op.matrix)
+        upper, root = scaled_upper_triangle(op.band_csr())
         stored += stored_size(upper) + root.size
         sweeps[op.level] = (upper, root)
 
@@ -374,8 +391,8 @@ def preconditioner(hier: Hierarchy, name: str):
     """The ``r -> z`` map named by ``name`` (one of `PRECONDITIONERS`) and the count of
     numbers it stores beyond the hierarchy: the identity (``'none'``), or one V-cycle
     from zero with `jacobi_smooth` or `gauss_seidel_smoother` sweeps.  ``'mg-ssor'``
-    raises `CapacityError` when a smoothed level's band holds more than
-    ``hier.dense_cap**2`` entries."""
+    raises `CapacityError` when a smoothed level's `BandPattern` holds more than
+    ``hier.dense_cap**2`` entries, before any triangle is built."""
     if name == "none":
         return (lambda r: r), 0
     if name == "mg-jacobi":
@@ -383,7 +400,7 @@ def preconditioner(hier: Hierarchy, name: str):
     if name == "mg-ssor":
         cap = hier.dense_cap ** 2  # entries of the largest dense matrix admitted
         for op in hier.levels[1:]:
-            nnz = BandPattern(op.spaces).nnz if op.matrix is None else op.matrix.nnz
+            nnz = BandPattern(op.spaces).nnz
             if nnz > cap:
                 raise CapacityError(f"mg-ssor on level {op.level}: its band holds {nnz} "
                                     f"entries, more than dense_cap**2 = {cap}")
@@ -410,38 +427,13 @@ def transfer(hier: Hierarchy, g: int, v, direction: str) -> np.ndarray:
     raise ParameterError(f"direction must be 'prolong' or 'restrict', got {direction!r}")
 
 
-def _plain_cg(apply_fn, b, tol, maxiter):
-    """Minimal CG used as the nested coarse solver; returns the iterate and
-    whether its recursive residual reached ``tol``."""
-    x = np.zeros_like(b)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return x, True
-    r = b.copy()
-    p = r.copy()
-    rr = r @ r
-    for k in range(maxiter):
-        v = apply_fn(p)
-        w = rr / (p @ v)
-        x += w * p
-        r -= w * v
-        rr_new = r @ r
-        if not np.isfinite(rr_new):
-            raise NumericError("nested coarse CG diverged", iteration=k)
-        if np.sqrt(rr_new) <= tol * nb:
-            return x, True
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return x, False
-
-
 def coarse_solve(hier: Hierarchy, b) -> np.ndarray:
-    """Solve the coarsest-level system (direct factorization or nested CG).
+    """Solve the coarsest-level system (Cholesky, or `solvers.cg_solve`).
 
-    A nested CG that stops short of ``COARSE_CG_TOL`` still returns its
-    iterate, since a rough coarse correction can serve the V-cycle; one
-    whose true residual is no smaller than ``||b||`` (worse than the zero
-    vector) raises `NumericError`.
+    A nested CG that stops short of ``COARSE_CG_TOL`` in ``20 K`` steps still
+    returns its iterate, since a rough coarse correction can serve the
+    V-cycle; one whose true residual is no smaller than ``||b||`` (worse than
+    the zero vector) raises `NumericError`.
     """
     b = np.ascontiguousarray(b, dtype=np.float64)
     coarse = hier.levels[0]
@@ -449,16 +441,18 @@ def coarse_solve(hier: Hierarchy, b) -> np.ndarray:
         raise ShapeError(f"expected vector of length {coarse.size}, got {b.shape}")
     if hier._coarse_factor is not None:
         return scipy.linalg.cho_solve(hier._coarse_factor, b)
-    x, reached = _plain_cg(coarse.apply, b, COARSE_CG_TOL, 20 * coarse.size)
-    if not reached:
-        relative = float(np.linalg.norm(b - coarse.apply(x)) / np.linalg.norm(b))
-        if not relative < 1.0:
-            raise NumericError(
-                f"nested coarse CG on level 1 (size {coarse.size}) ended at relative "
-                f"residual {relative:.3g}, no better than the zero vector; a dense_cap of "
-                f"at least {coarse.size} (now {hier.dense_cap}) solves it by Cholesky"
-            )
-    return x
+    from .solvers import SolverConfig, cg_solve  # solvers imports this module
+
+    cfg = SolverConfig(COARSE_CG_TOL, max_iterations=20 * coarse.size, preconditioner="none")
+    report = cg_solve(coarse, b, cfg)
+    if not (report.converged or report.true_relative_residual < 1.0):
+        raise NumericError(
+            f"nested coarse CG on level 1 (size {coarse.size}) ended at relative "
+            f"residual {report.true_relative_residual:.3g}, no better than the zero "
+            f"vector; a dense_cap of at least {coarse.size} (now {hier.dense_cap}) "
+            "solves it by Cholesky"
+        )
+    return report.coefficients
 
 
 def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> np.ndarray:

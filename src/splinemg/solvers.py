@@ -1,6 +1,7 @@
 """Conjugate gradients, plain and with a multigrid V-cycle preconditioner.
 
-Both solvers share one update loop; plain CG is the preconditioner-free
+Both solvers share the package's one CG loop; plain CG (`cg_solve`, also
+the nested coarse solver of `multigrid.coarse_solve`) is the preconditioner-free
 case.  `mgcg_solve` takes the preconditioner that ``SolverConfig.preconditioner``
 names from `multigrid.preconditioner`.  The loop keeps only scalar history of
 the previous preconditioned residual product, so a solve holds four (plain) or

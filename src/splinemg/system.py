@@ -11,13 +11,14 @@ windows and applies the data term with the window kernels and the penalty
 by Kronecker contractions, so its coefficient matrix is never formed.  The
 assembled one (``"csr"``) holds ``B'B + lam * R`` as one CSR matrix in the
 Kronecker band pattern (per axis the ``2q + 1`` diagonals of a degree-``q``
-space, `BandPattern`) and keeps no per-point data.  One builder,
-`LevelOperator._band_csr`, forms that matrix from a level's windows
-(cell-grouped data products plus the penalty bands): `LevelOperator.assemble`
-stores its result (and, for a finest level, ``B'y`` of the training
-responses), `assemble_dense` densifies it, and the multigrid hierarchy
-derives coarser levels by Galerkin products.  Which levels are assembled,
-the finest one included, is the multigrid hierarchy's size rule.
+space, `BandPattern`, with 32-bit indices where they fit) and keeps no
+per-point data.  `LevelOperator.band_csr` is a level's one source of that
+matrix: the stored one, or one built from the windows (cell-grouped data
+products plus the penalty bands).  `assemble` stores it (and, for a finest
+level, ``B'y`` of the training responses), `assemble_dense` densifies it,
+and the multigrid hierarchy derives coarser levels by Galerkin products and
+cuts its ``mg-ssor`` triangles from it.  Which levels are assembled, the
+finest one included, is the multigrid hierarchy's size rule.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.sparse
 
 from . import kernels
-from .bsplines import MAX_DEGREE, build_space, eval_basis_batch, gram_matrix
+from .bsplines import MAX_DEGREE, build_space, csr_index_dtype, eval_basis_batch, gram_matrix
 from .errors import CapacityError, DomainError, ParameterError, ShapeError
 from .tensorops import (
     KhatriRaoFactors,
@@ -186,7 +187,8 @@ class BandPattern:
     ``lo[r] .. lo[r] + width[r] - 1`` with ``lo[r] = max(r - q, 0)``, and a
     level row couples the C-order product of its axes' column ranges.  So
     entry ``(R, C)`` is stored at ``indptr[R] + sum_p (c_p - lo_p[r_p]) *
-    prod_{t > p} width_t[r_t]``, with columns sorted within each row.
+    prod_{t > p} width_t[r_t]``, with columns sorted within each row, in
+    indices of the `csr_index_dtype` of ``nnz`` (`positions` sums in 64 bits).
     """
 
     def __init__(self, spaces):
@@ -203,8 +205,8 @@ class BandPattern:
             cols = r[:, None] + np.arange(-q, q + 1)[None, :]
             self.valid.append((cols >= 0) & (cols < d))
         row_nnz = reduce(np.multiply.outer, self.width).reshape(-1)
-        self.indptr = np.concatenate(([0], np.cumsum(row_nnz)))
-        self.nnz = int(self.indptr[-1])
+        self.nnz = int(row_nnz.sum())
+        self.indptr = np.concatenate(([0], np.cumsum(row_nnz))).astype(csr_index_dtype(self.nnz))
 
     def positions(self, rows, cols) -> np.ndarray:
         """Storage positions of the entries ``(rows, cols)`` (flat indices,
@@ -245,7 +247,7 @@ class BandPattern:
         rests = [reduce(np.kron, axes[1:], one) for axes in kron_terms]
         rest_rows = self.strides[0]
         step = max(1, kernels.CHUNK_ENTRIES * 4 // (rest_rows * band_width))
-        indices = np.empty(self.nnz, dtype=np.int64)
+        indices = np.empty(self.nnz, dtype=self.indptr.dtype)
         for s in range(0, self.dims[0], step):
             e = min(s + step, self.dims[0])
             keep = np.flatnonzero(np.kron(self.valid[0][s:e], rest_valid))
@@ -287,6 +289,7 @@ class LevelOperator:
         points = dataset.points if matrix is None else dataset.points[:0]
         self.design = design_factors(self.spaces, points)
         self.penalty = penalty_terms(self.spaces)
+        self.spectral_bound = None  # filled by `multigrid.jacobi_spectral_bound`
         self._diag = None
         self._rhs = None  # B'y of the training responses, kept by `assemble`
 
@@ -296,28 +299,30 @@ class LevelOperator:
         return "windows" if self.matrix is None else "csr"
 
     def assemble(self, keep_rhs: bool = False) -> "LevelOperator":
-        """Switch this level to CSR storage, built by `_band_csr` from its
+        """Switch this level to CSR storage, built by `band_csr` from its
         own windows and penalty factors, and drop the windows; returns the
         level.  ``keep_rhs`` first forms ``B'y`` of the training responses
         from the windows and keeps it, so that the default `rhs` evaluates
         no basis later (the finest level's, which every solve reads)."""
         if self.matrix is None:
-            self.matrix = self._band_csr()
+            self.matrix = self.band_csr()
             if keep_rhs:
                 self._rhs = khatri_rao_matvec(self.design, self.dataset.responses)
             self.design = design_factors(self.spaces, self.dataset.points[:0])
             self._diag = None
         return self
 
-    def _band_csr(self) -> scipy.sparse.csr_array:
-        """``B'B + lam * R`` of a windows level as CSR in the `BandPattern`;
-        the level itself is left unchanged.
+    def band_csr(self) -> scipy.sparse.csr_array:
+        """``B'B + lam * R`` as CSR in the `BandPattern`: the stored matrix,
+        or one built from the windows, which leaves the level unchanged.
 
         The data term is summed cell by cell (`kernels.cell_gram`) straight
         into the stored entries, and the penalty terms are added from their
         1D band arrays by `BandPattern.tocsr`.  No design matrix and no dense
         ``size x size`` array is formed.
         """
+        if self.matrix is not None:
+            return self.matrix
         pattern = BandPattern(self.spaces)
         f = self.design
 
@@ -395,15 +400,23 @@ class LevelOperator:
         return khatri_rao_matvec(self._data_design(), y)
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal of the operator, cached after the first call."""
+        """Diagonal of the operator, cached after the first call.
+
+        Raises `ParameterError` when it is not finite: ``lam`` times the
+        penalty overflows, and the operator with it."""
         if self._diag is None:
             if self.matrix is not None:
-                self._diag = self.matrix.diagonal()
+                d = self.matrix.diagonal()
             else:
                 d = khatri_rao_gram_diag(self.design)
                 for term in self.penalty:
                     d = d + (self.lam * term.weight) * kron_diagonal(term.factors)
-                self._diag = d
+            if not np.isfinite(d).all():
+                raise ParameterError(
+                    f"smoothing parameter {self.lam:g} overflows the level-{self.level} "
+                    "operator: lam times the penalty exceeds the double range"
+                )
+            self._diag = d
         return self._diag
 
     # -- evaluation and diagnostics -----------------------------------------
@@ -441,13 +454,13 @@ class LevelOperator:
 
     def assemble_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
         """Densify the operator (guarded by ``cap``; the coarse Cholesky
-        factor and diagnostics only): ``toarray()`` of the stored CSR, or of
-        `_band_csr` on a windows level, which stays matrix-free."""
+        factor and diagnostics only): ``toarray()`` of `band_csr`, so a
+        windows level stays matrix-free."""
         if self.size > cap:
             raise CapacityError(
                 f"dense assembly of a {self.size}x{self.size} operator exceeds cap {cap}"
             )
-        return (self._band_csr() if self.matrix is None else self.matrix).toarray()
+        return self.band_csr().toarray()
 
     def memory_reals(self) -> int:
         """Count of the stored operator numbers, each counted as one float64

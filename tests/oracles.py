@@ -123,6 +123,7 @@ class DenseOperator:
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.size = self.matrix.shape[0]
         self.degrees = tuple(degrees)
+        self.spectral_bound = None
 
     def apply(self, alpha, out=None):
         res = self.matrix @ alpha

@@ -3,7 +3,16 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse
 
-from splinemg import CapacityError, NumericError, SolverConfig, build_hierarchy, mgcg_solve, v_cycle
+from splinemg import (
+    CapacityError,
+    NumericError,
+    SolverConfig,
+    build_hierarchy,
+    build_level,
+    generate_dataset,
+    mgcg_solve,
+    v_cycle,
+)
 from splinemg.analysis import (
     condition_summary,
     iteration_matrix,
@@ -123,6 +132,32 @@ class TestIterationMatrix:
         npt.assert_array_equal(iteration_matrix(h), np.zeros((25, 25)))
 
 
+def triu_reference(matrix):
+    """The scaled triangle cut by `scipy.sparse.triu`, scaled by ``root[r] *
+    root[c]`` and given its unit diagonal by ``setdiag``."""
+    root = np.sqrt(matrix.diagonal())
+    upper = scipy.sparse.triu(matrix, format="csr")
+    upper.data /= np.repeat(root, np.diff(upper.indptr)) * root[upper.indices]
+    upper.setdiag(1.0)
+    return upper, root
+
+
+class TestScaledUpperTriangle:
+    @pytest.mark.parametrize("dim,levels", [(1, 5), (2, 3), (3, 3)])
+    def test_row_mask_cut_equals_triu_bit_for_bit(self, dim, levels):
+        data = generate_dataset(dim, 600, 0.1, seed=dim)
+        stored = build_hierarchy(data, levels, 0.7).levels[0]
+        windows = build_level(data, levels, 0.7)
+        assert (stored.storage, windows.storage) == ("csr", "windows")
+        for m in (stored.band_csr(), windows.band_csr()):
+            upper, root = scaled_upper_triangle(m)
+            expected, expected_root = triu_reference(m)
+            for got, want in ((upper.data, expected.data), (upper.indices, expected.indices),
+                              (upper.indptr, expected.indptr), (root, expected_root)):
+                npt.assert_array_equal(got, want)
+            assert upper.indices.dtype == upper.indptr.dtype == m.indices.dtype == np.intc
+
+
 class TestSsorReference:
     def test_mgcg_ssor_needs_no_more_iterations_than_jacobi(self, small_dataset_2d):
         hier4 = build_hierarchy(small_dataset_2d, 4, 1.0)
@@ -160,7 +195,7 @@ class TestSsorReference:
         npt.assert_allclose(block, np.column_stack([alpha, second]), rtol=1e-13)
 
     def test_sweep_leaves_the_stored_triangles_unchanged(self, hier, rng):
-        m = hier.finest._band_csr()
+        m = hier.finest.band_csr()
         upper, root = scaled_upper_triangle(m)
         lower = upper.T
         assert lower.format == "csc" and np.shares_memory(lower.data, upper.data)

@@ -208,6 +208,18 @@ def loop_gram_bands(space, deriv):
     return bands
 
 
+class TestIndexType:
+    def test_builders_use_32_bit_indices(self):
+        coarse, fine = build_space(0.0, 1.0, 3, 3), build_space(0.0, 1.0, 4, 3)
+        for m in (gram_matrix(fine, 2), subdivision_matrix(coarse, fine)):
+            assert m.indices.dtype == m.indptr.dtype == np.intc
+
+    def test_64_bit_beyond_the_32_bit_range(self):
+        top = int(np.iinfo(np.intc).max)
+        assert bsplines.csr_index_dtype(top) is np.intc
+        assert bsplines.csr_index_dtype(top + 1) is np.int64
+
+
 class TestSubdivision:
     def test_cubic_weight_pattern(self):
         coarse, fine = build_space(0.0, 1.0, 3, 3), build_space(0.0, 1.0, 4, 3)

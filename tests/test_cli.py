@@ -247,6 +247,26 @@ class TestFit:
         err = capsys.readouterr().err
         assert "level 1 (size 49)" in err and "dense_cap" in err
 
+    def test_overflowing_lambda_exit_code(self, tmp_path, capsys):
+        code = run(["fit", "--dim", 2, "--n", 300, "--levels", 3, "--lambda", "1e308",
+                    "--output", tmp_path / "l"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: smoothing parameter 1e+308 overflows the "
+                                           "level-3 operator: lam times the penalty exceeds "
+                                           "the double range\n")
+
+    @pytest.mark.parametrize("n,lam,swamped", [
+        (300, "1e20", "data term lies below the rounding of the penalty"),
+        (300, "1e300", "data term lies below the rounding of the penalty"),
+        (20, "1e-30", "penalty lies below the rounding of the data term"),
+    ])
+    def test_swamping_lambda_exit_code(self, tmp_path, capsys, n, lam, swamped):
+        code = run(["fit", "--dim", 2, "--n", n, "--levels", 3, "--lambda", lam,
+                    "--output", tmp_path / "l"])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "coarse factorization failed on level 1" in err and swamped in err
+
     def test_capacity_exit_code(self, tmp_path):
         code = run(["fit", *BASE_FIT, "--precond", "mg-ssor", "--dense-cap", 10,
                     "--output", tmp_path / "cap"])
@@ -395,6 +415,41 @@ class TestPredict:
                     "--output", tmp_path / "p.txt"])
         assert code == cli.EXIT_CONFIG
         assert f"{queries}: line 1 holds delimiters but no values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda r: {}, "'spaces' is missing"),
+        (lambda r: {**r, "spaces": []}, "'spaces' must be a non-empty list"),
+        (lambda r: {**r, "spaces": [{**r["spaces"][0], "level": "3"}, r["spaces"][1]]},
+         "'spaces[0].level' must be an integer, got '3'"),
+        (lambda r: {**r, "spaces": [r["spaces"][0], {**r["spaces"][1], "level": 2.5}]},
+         "'spaces[1].level' must be an integer, got 2.5"),
+        (lambda r: {**r, "spaces": [{**r["spaces"][0], "degree": 9}, r["spaces"][1]]},
+         "'spaces[0]': degree must be in 1..5"),
+        (lambda r: {**r, "scaling": [r["scaling"][0], {"lo": 0.0}]},
+         "'scaling[1].hi' is missing"),
+        (lambda r: {**r, "scaling": r["scaling"][:1]}, "'scaling' has 1 entries for 2 spaces"),
+    ], ids=["empty", "no-spaces", "str-level", "float-level", "degree", "no-hi", "short"])
+    def test_malformed_model_exit_code(self, fit_dir, tmp_path, capsys, edit, key):
+        report = json.loads((fit_dir / "report.json").read_text())
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "report.json").write_text(json.dumps(edit(report)))
+        (model / "coefficients.txt").write_bytes((fit_dir / "coefficients.txt").read_bytes())
+        queries = tmp_path / "q.txt"
+        queries.write_text("0.5 0.5\n")
+        code = run(["predict", "--model", model, "--input", queries,
+                    "--output", tmp_path / "p.txt"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err  # one line naming the file and the key
+        assert err.startswith(f"error: {model / 'report.json'}: key {key}") and err.count("\n") == 1
+
+    def test_model_report_not_json_exit_code(self, fit_dir, tmp_path):
+        (fit_dir / "report.json").write_text('{"spaces": [')
+        queries = tmp_path / "q.txt"
+        queries.write_text("0.5 0.5\n")
+        code = run(["predict", "--model", fit_dir, "--input", queries,
+                    "--output", tmp_path / "p.txt"])
+        assert code == cli.EXIT_IO
 
     def test_non_finite_coordinates_exit_code(self, fit_dir, tmp_path):
         queries = tmp_path / "q.txt"

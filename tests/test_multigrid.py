@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -23,13 +24,13 @@ from splinemg import (
     v_cycle,
 )
 from splinemg.multigrid import (
-    cached_spectral_bound,
+    COARSE_CG_TOL,
     chebyshev_ratio,
     first_assembled_level,
     jacobi_spectral_bound,
 )
-from splinemg.solvers import mgcg_solve
-from splinemg.system import BandPattern
+from splinemg.solvers import cg_solve, mgcg_solve
+from splinemg.system import BandPattern, LevelOperator
 from splinemg.tensorops import stored_size
 from conftest import make_dataset
 from oracles import DenseOperator, dense_kron, dense_rhs
@@ -159,10 +160,10 @@ class TestJacobiSmooth:
         level = build_level(hier_2d.finest.dataset, 2, 1.0)
         applies, apply = [], level.apply
         level.apply = lambda *args, **kwargs: applies.append(1) or apply(*args, **kwargs)
-        assert cached_spectral_bound(level) is None
+        assert level.spectral_bound is None
         bound = jacobi_spectral_bound(level)
         assert len(applies) == 20  # the power iteration
-        assert cached_spectral_bound(level) == bound == jacobi_spectral_bound(level)
+        assert level.spectral_bound == bound == jacobi_spectral_bound(level)
         assert len(applies) == 20
 
     def test_zero_steps_returns_input(self, hier_2d, rng):
@@ -268,6 +269,41 @@ class TestCoarseSolve:
         hier = build_hierarchy(data, 4, 1e8, degrees=5, dense_cap=1)
         report = mgcg_solve(hier, cfg=SolverConfig(max_iterations=2000))
         assert report.converged
+
+
+class TestNestedCoarseCG:
+    def test_is_the_package_cg(self, small_dataset_2d, rng):
+        hier = build_hierarchy(small_dataset_2d, 2, 1.0, dense_cap=10)
+        b = rng.standard_normal(25)
+        cfg = SolverConfig(tolerance=COARSE_CG_TOL, max_iterations=20 * 25, preconditioner="none")
+        npt.assert_array_equal(coarse_solve(hier, b), cg_solve(hier.levels[0], b, cfg).coefficients)
+
+    def test_rejects_non_positive_curvature(self, small_dataset_2d, rng):
+        hier = build_hierarchy(small_dataset_2d, 2, 1.0, dense_cap=10)
+        coarse = hier.levels[0]
+        hier.levels[0] = LevelOperator(coarse.dataset, 1, 1.0, matrix=-coarse.matrix)
+        with pytest.raises(NumericError, match="curvature"):
+            coarse_solve(hier, rng.standard_normal(25))
+
+
+class TestExtremeLambda:
+    def test_overflow_is_a_parameter_error_without_warnings(self):
+        data = generate_dataset(2, 300, 0.1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="smoothing parameter 1e\\+308 overflows"):
+                build_hierarchy(data, 3, 1e308)
+
+    @pytest.mark.parametrize("n,lam,swamped", [
+        (300, 1e20, "data term lies below the rounding of the penalty"),
+        (300, 1e300, "data term lies below the rounding of the penalty"),
+        (20, 1e-30, "penalty lies below the rounding of the data term"),
+    ])
+    def test_failed_cholesky_says_why(self, n, lam, swamped):
+        # one term lies below the rounding of the other, which vanishes on
+        # some splines: level 1 is singular in double precision
+        with pytest.raises(NumericError, match=swamped):
+            build_hierarchy(generate_dataset(2, n, 0.1, seed=0), 3, lam)
 
 
 class TestVCycle:

@@ -11,12 +11,13 @@ from splinemg import (
     build_hierarchy,
     build_level,
     cg_solve,
+    generate_dataset,
     mgcg_solve,
 )
 from splinemg import multigrid
 from splinemg.multigrid import preconditioner
 from splinemg.solvers import _pcg
-from splinemg.system import LevelOperator
+from splinemg.system import BandPattern, LevelOperator
 from splinemg.tensorops import stored_size
 from oracles import DenseOperator, dense_ssor_vcycle
 
@@ -197,10 +198,20 @@ class TestMgcg:
         def forbidden(*args):
             raise AssertionError("built a band CSR or triangle before the cap check")
 
-        monkeypatch.setattr(LevelOperator, "_band_csr", forbidden)
+        monkeypatch.setattr(LevelOperator, "band_csr", forbidden)
         monkeypatch.setattr(multigrid, "scaled_upper_triangle", forbidden)
         # 60 x 60 = 3,600 entries, below the finest band's 4,225
         with pytest.raises(CapacityError, match="level 3: its band holds 4225 entries"):
+            mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-ssor"))
+
+    def test_precond_mg_ssor_band_cap_reads_a_galerkin_level_band(self, monkeypatch):
+        # every level of this 1D hierarchy is CSR, all but the finest
+        # Galerkin products; the guard counts level 2's band from its spaces
+        hier = build_hierarchy(generate_dataset(1, 20000, 0.1, seed=0), 4, 1.0, dense_cap=6)
+        level = hier.level(2)
+        assert level.storage == "csr" and level.matrix.nnz == BandPattern(level.spaces).nnz == 37
+        monkeypatch.setattr(LevelOperator, "band_csr", lambda *args: pytest.fail("built"))
+        with pytest.raises(CapacityError, match="level 2: its band holds 37 entries"):
             mgcg_solve(hier, cfg=SolverConfig(preconditioner="mg-ssor"))
 
     @pytest.mark.parametrize("name", ["mg-jacobi", "mg-ssor"])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -17,6 +18,7 @@ from splinemg import (
     build_hierarchy,
     build_level,
     build_space,
+    generate_dataset,
     gram_matrix,
     greville_points,
     penalty_terms,
@@ -217,6 +219,32 @@ class TestDiagonal:
             t.weight * kron_diagonal(t.factors) for t in big.penalty
         )
         npt.assert_allclose(big.diagonal(), 1e9 * penalty_diag, rtol=1e-6)
+
+    @pytest.mark.parametrize("lam", [1e308, 1e306])
+    def test_overflowing_lambda_names_it(self, small_dataset_2d, lam):
+        message = re.escape(f"smoothing parameter {lam:g} overflows")
+        for make in (build_level, lambda *a: LevelOperator(*a).assemble()):
+            with pytest.raises(ParameterError, match=message):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    make(small_dataset_2d, 3, lam).diagonal()
+
+
+class TestBandCsr:
+    def test_assembled_level_returns_its_stored_matrix(self, small_dataset_2d):
+        op = LevelOperator(small_dataset_2d, 3, 1.0).assemble()
+        assert op.band_csr() is op.matrix
+
+    def test_windows_level_builds_one_and_stays_matrix_free(self, small_dataset_2d):
+        op = build_level(small_dataset_2d, 3, 1.0)
+        m = op.band_csr()
+        assert op.storage == "windows" and op.size == 121
+        assert m.indices.dtype == m.indptr.dtype == np.intc
+
+    def test_every_assembled_level_has_32_bit_indices(self):
+        hier = build_hierarchy(generate_dataset(1, 20000, 0.1, seed=0), 8, 1.0)
+        assert [op.storage for op in hier.levels] == ["csr"] * 8
+        for op in hier.levels:
+            assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.intc
 
 
 class TestAssembleDense:
