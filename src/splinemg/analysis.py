@@ -5,7 +5,8 @@ vectors, so all routines are guarded by the ``dense_cap`` the hierarchy was
 built with.  The module provides the preconditioned-operator probes,
 eigenvalue/condition reports and the stationary-iteration error propagator
 of the V-cycle.  The preconditioners probed are the solver's own, built by
-`multigrid.preconditioner` from the names of `multigrid.PRECONDITIONERS`.
+`multigrid.preconditioner` from the names of `multigrid.PRECONDITIONERS`, and
+the smoothers of the propagator are those of `multigrid.vcycle_smoother`.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, NumericError, ParameterError
-from .multigrid import Hierarchy, gauss_seidel_smoother, jacobi_smooth, preconditioner
+from .errors import CapacityError, NumericError
+from .multigrid import VCYCLE_SMOOTHERS, Hierarchy, preconditioner, vcycle_smoother
 
 
 @dataclass(frozen=True)
@@ -100,33 +101,25 @@ def probe_inverse_preconditioner(hier: Hierarchy, name: str = "mg-jacobi") -> np
 
 
 def iteration_matrix(hier: Hierarchy, g: int | None = None, name: str = "mg-jacobi") -> np.ndarray:
-    """Error propagator of the V-cycle preconditioner ``name`` (``'mg-jacobi'``
-    or ``'mg-ssor'``) as a stationary iteration.
+    """Error propagator of the V-cycle preconditioner ``name`` (one of
+    `VCYCLE_SMOOTHERS`) as a stationary iteration.
 
     Built by the two-grid recursion: zero on the coarsest level, and on each
     finer level post-smoothing times the coarse-grid correction
     ``I - I_up (I - C_coarse) A_coarse^{-1} I_down A`` times pre-smoothing.
-    A smoothing propagator is the image of the identity's columns under the
-    smoother's own ``nu1`` (before) or ``nu2`` (after) steps with a zero
-    right-hand side: the Chebyshev polynomial in ``D^{-1} A`` of
-    `jacobi_smooth` (one column at a time) or ``nu`` sweeps of
-    `gauss_seidel_smoother`.  The stationary V-cycle converges iff the
-    spectral radius is below one.
+    A smoothing propagator is the image of the identity's columns, one at a
+    time, under the `vcycle_smoother`'s own ``nu1`` (before) or ``nu2``
+    (after) steps with a zero right-hand side.  The stationary V-cycle
+    converges iff the spectral radius is below one.
     """
-    if name not in ("mg-jacobi", "mg-ssor"):
-        raise ParameterError(f"name must be 'mg-jacobi' or 'mg-ssor', got {name!r}")
+    smooth, _ = vcycle_smoother(hier, name)
     g = hier.num_levels if g is None else int(g)
     dense = [hier.level(gg).assemble_dense(hier.dense_cap) for gg in range(1, g + 1)]
-    if name == "mg-ssor":
-        ssor, _ = gauss_seidel_smoother(hier)
 
     def smoothing(gg, steps):
         # the smoother maps the error e to S e when the right-hand side is zero
-        size = dense[gg - 1].shape[0]
-        if name == "mg-ssor":
-            return ssor(gg, np.eye(size), 0.0, steps)
-        level, zero = hier.level(gg), np.zeros(size)
-        return _columns(size, lambda e: jacobi_smooth(level, e, zero, steps))
+        zero = np.zeros(dense[gg - 1].shape[0])
+        return _columns(zero.size, lambda e: smooth(gg, e, zero, steps))
 
     c = np.zeros((dense[0].shape[0], dense[0].shape[0]))
     for gg in range(2, g + 1):
@@ -139,16 +132,16 @@ def iteration_matrix(hier: Hierarchy, g: int | None = None, name: str = "mg-jaco
     return c
 
 
-def condition_summary(hier: Hierarchy, include_ssor: bool = True) -> dict:
+def condition_summary(hier: Hierarchy) -> dict:
     """Spectra of the plain and preconditioned finest-level operators.
 
-    Returns a dict of `SpectrumReport` keyed by ``plain``, ``mg-jacobi`` and
-    (optionally) ``mg-ssor``.
+    Returns a dict of `SpectrumReport` keyed by ``plain`` and each of
+    `VCYCLE_SMOOTHERS`.
     """
     op = hier.finest
     a = op.assemble_dense(hier.dense_cap)
     reports = {"plain": spectrum(a, label="plain")}
-    for name in ("mg-jacobi", "mg-ssor") if include_ssor else ("mg-jacobi",):
+    for name in VCYCLE_SMOOTHERS:
         minv_a = probe_inverse_preconditioner(hier, name) @ a
         reports[name] = spectrum(minv_a, similarity=a, label=name)
     return reports

@@ -23,14 +23,14 @@ Points that map outside the fitted box get ``nan`` (their count goes to
 stderr); non-finite coordinates are an error, and so is a ``report.json``
 whose spaces or scaling maps miss a key or hold a malformed one.
 
-Every flag's default is the matching `RunConfig` field default.  ``--precond``
-is `SolverConfig.preconditioner`: every solve goes through `mgcg_solve`,
-which dispatches on it; ``mg-ssor`` smooths by symmetric Gauss-Seidel on one
-scaled CSR triangle per level.  ``--dense-cap`` is the hierarchy's
-``dense_cap``: the Cholesky coarse solve and the ``analyze`` probes form
-dense matrices up to that size, and ``mg-ssor`` refuses a level band of more
-than ``dense_cap**2`` entries.  `CapacityError` and running out of memory
-exit with ``EXIT_CAPACITY``.
+A subcommand accepts only the flags it reads, each defaulting to its
+`RunConfig` field: ``generate`` the dataset flags, ``analyze`` all but the
+solver's, ``bench`` all but ``--levels``.  ``--precond`` is
+`SolverConfig.preconditioner`, which `mgcg_solve` dispatches on.
+``--dense-cap`` is the hierarchy's ``dense_cap``: the Cholesky coarse solve
+and the ``analyze`` probes form dense matrices up to that size, and
+``mg-ssor`` refuses a level band of more than ``dense_cap**2`` entries.
+`CapacityError` and running out of memory exit with ``EXIT_CAPACITY``.
 """
 from __future__ import annotations
 
@@ -128,30 +128,6 @@ class RunConfig:
         )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, default=RunConfig.dim, help="covariate dimension P")
-    parser.add_argument("--levels", type=int, default=RunConfig.levels, help="finest grid level G")
-    parser.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam,
-                        help="smoothing parameter")
-    parser.add_argument("--degree", type=int, default=RunConfig.degree, help="spline degree (2..5)")
-    parser.add_argument("--tol", type=float, default=RunConfig.tol, help="relative residual tolerance")
-    parser.add_argument("--max-iter", type=int, default=RunConfig.max_iter,
-                        help="iteration cap (default 10*sqrt(K))")
-    parser.add_argument("--nu1", type=int, default=RunConfig.nu1, help="pre-smoothing sweeps")
-    parser.add_argument("--nu2", type=int, default=RunConfig.nu2, help="post-smoothing sweeps")
-    parser.add_argument("--precond", choices=PRECONDITIONERS, default=RunConfig.precond,
-                        help="solver preconditioner: plain CG, or one V-cycle per step "
-                        "with Chebyshev smoothing on the Jacobi-scaled operator or sparse "
-                        "symmetric Gauss-Seidel smoothing")
-    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="generator seed")
-    parser.add_argument("--n", type=int, default=RunConfig.n, help="generated sample count")
-    parser.add_argument("--noise", type=float, default=RunConfig.noise,
-                        help="generated noise std deviation")
-    parser.add_argument("--dense-cap", type=int, default=RunConfig.dense_cap,
-                        help="largest dimension assembled densely; mg-ssor also "
-                        "refuses a level band of more than its square entries")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splinemg",
@@ -159,14 +135,38 @@ def build_parser() -> argparse.ArgumentParser:
         "multigrid-preconditioned CG solver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    data, levels, hierarchy, solver = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    data.add_argument("--dim", type=int, default=RunConfig.dim, help="covariate dimension P")
+    data.add_argument("--n", type=int, default=RunConfig.n, help="generated sample count")
+    data.add_argument("--noise", type=float, default=RunConfig.noise,
+                      help="generated noise std deviation")
+    data.add_argument("--seed", type=int, default=RunConfig.seed, help="generator seed")
+    source = argparse.ArgumentParser(add_help=False, parents=[data])
+    source.add_argument("--input", default=None, help="dataset file (default: generate)")
+    levels.add_argument("--levels", type=int, default=RunConfig.levels, help="finest grid level G")
+    hierarchy.add_argument("--lambda", dest="lam", type=float, default=RunConfig.lam,
+                           help="smoothing parameter")
+    hierarchy.add_argument("--degree", type=int, default=RunConfig.degree,
+                           help="spline degree (2..5)")
+    hierarchy.add_argument("--nu1", type=int, default=RunConfig.nu1, help="pre-smoothing sweeps")
+    hierarchy.add_argument("--nu2", type=int, default=RunConfig.nu2, help="post-smoothing sweeps")
+    hierarchy.add_argument("--dense-cap", type=int, default=RunConfig.dense_cap,
+                           help="largest dimension assembled densely; mg-ssor also "
+                           "refuses a level band of more than its square entries")
+    solver.add_argument("--tol", type=float, default=RunConfig.tol,
+                        help="relative residual tolerance")
+    solver.add_argument("--max-iter", type=int, default=RunConfig.max_iter,
+                        help="iteration cap (default 10*sqrt(K))")
+    solver.add_argument("--precond", choices=PRECONDITIONERS, default=RunConfig.precond,
+                        help="solver preconditioner: plain CG, or one V-cycle per step "
+                        "with Chebyshev smoothing on the Jacobi-scaled operator or sparse "
+                        "symmetric Gauss-Seidel smoothing")
 
-    p = sub.add_parser("generate", help="write a synthetic sigmoid dataset")
-    _add_common(p)
+    p = sub.add_parser("generate", parents=[data], help="write a synthetic sigmoid dataset")
     p.add_argument("--output", required=True, help="dataset file to write")
 
-    p = sub.add_parser("fit", help="fit a smoothing spline and write run artifacts")
-    _add_common(p)
-    p.add_argument("--input", default=None, help="dataset file (default: generate)")
+    p = sub.add_parser("fit", parents=[source, levels, hierarchy, solver],
+                       help="fit a smoothing spline and write run artifacts")
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--grid", type=int, default=0, help="prediction-grid points per axis (0 = off)")
 
@@ -175,15 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="points file (raw coordinates)")
     p.add_argument("--output", required=True, help="predictions file to write")
 
-    p = sub.add_parser("analyze", help="desk-scale spectra and condition numbers")
-    _add_common(p)
-    p.add_argument("--input", default=None, help="dataset file (default: generate)")
+    p = sub.add_parser("analyze", parents=[source, levels, hierarchy],
+                       help="desk-scale spectra and condition numbers")
     p.add_argument("--output", default=None, help="JSON report file")
-    p.add_argument("--skip-ssor", action="store_true", help="skip the mg-ssor spectrum")
 
-    p = sub.add_parser("bench", help="iterations vs refinement level, CG against MGCG")
-    _add_common(p)
-    p.add_argument("--input", default=None, help="dataset file (default: generate)")
+    p = sub.add_parser("bench", parents=[source, hierarchy, solver],
+                       help="iterations vs refinement level, CG against MGCG")
     p.add_argument("--g-min", type=int, default=4, help="coarsest benchmarked level")
     p.add_argument("--g-max", type=int, default=7, help="finest benchmarked level")
     p.add_argument("--output", default=None, help="TSV table file")
@@ -275,13 +272,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "hierarchy": {
             "levels": [
                 {"level": lv.level, "size": lv.size, "storage": lv.storage,
-                 "stored_bytes": lv.memory_reals() * 8,
+                 "stored_bytes": lv.memory_bytes(),
                  "spectral_bound": lv.spectral_bound}
                 for lv in hier.levels
             ],
         },
         "memory": {
-            "hierarchy_bytes": hier.memory_reals() * 8,
+            "hierarchy_bytes": hier.memory_bytes(),
             "solver_auxiliary_bytes": report_solve.peak_auxiliary_memory_estimate,
         },
         "total_wall_time_seconds": time.perf_counter() - t0,
@@ -321,7 +318,9 @@ def _cmd_fit(args) -> int:
             file=sys.stderr,
         )
     if not solver["converged"]:
-        print("solver did not reach the tolerance", file=sys.stderr)
+        print("solver did not converge: it must reach --tol and end with a true relative "
+              f"residual below 1, which is {solver['true_relative_residual']:.3g}",
+              file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -408,7 +407,7 @@ def _cmd_analyze(args) -> int:
     cfg = _config_from_args(args).validate()
     data, _ = _load_points(cfg)
     hier = cfg.hierarchy(data)
-    reports = analysis.condition_summary(hier, include_ssor=not args.skip_ssor)
+    reports = analysis.condition_summary(hier)
     rho = analysis.spectral_radius(analysis.iteration_matrix(hier))
     print(f"{'operator':<12} {'condition':>12} {'eig min':>12} {'eig max':>12}")
     for key, rep in reports.items():
@@ -419,7 +418,8 @@ def _cmd_analyze(args) -> int:
     print(f"v-cycle spectral radius: {rho:.4f}")
     if args.output:
         payload = {
-            "config": {k: v for k, v in asdict(cfg).items() if k not in ("input", "output")},
+            "config": {k: getattr(cfg, k) for k in vars(args)
+                       if k not in ("command", "input", "output")},
             "spectral_radius": rho,
             "operators": {
                 key: {

@@ -20,14 +20,15 @@ over the data.  Only the coarsest operator is factorized; above the dense
 cap it is solved by the package's CG (`solvers.cg_solve`) instead.
 
 `preconditioner` turns a name of `PRECONDITIONERS` into the ``r -> z`` map
-of one solve step: the identity (``none``), or one V-cycle from zero with
-Chebyshev sweeps on the Jacobi-preconditioned operator ``D^{-1} A``
-(``mg-jacobi``, matrix-free; `jacobi_smooth`) or symmetric Gauss-Seidel
-sweeps (``mg-ssor``, one stored CSR triangle of ``D^{-1/2} A D^{-1/2}`` per
-level, cut from the level's `LevelOperator.band_csr`; `gauss_seidel_smoother`).
+of one solve step: the identity (``none``), or one V-cycle from zero with the
+`vcycle_smoother` of that name, the one place that builds a smoother:
+Chebyshev sweeps on ``D^{-1} A`` (``mg-jacobi``, matrix-free; `jacobi_smooth`)
+or symmetric Gauss-Seidel sweeps (``mg-ssor``, one stored CSR triangle of
+``D^{-1/2} A D^{-1/2}`` per level; `gauss_seidel_smoother`).
 """
 from __future__ import annotations
 
+import os
 from functools import reduce
 from math import prod
 
@@ -46,12 +47,13 @@ from .system import (
     level_spaces,
     normalize_degrees,
 )
-from .tensorops import kron_diagonal, kron_matvec, kron_matvec_transposed, stored_size
+from .tensorops import kron_diagonal, kron_matvec, kron_matvec_transposed, stored_bytes
 
 # relative residual tolerance of the nested CG that solves a coarsest level
 # above the dense cap
 COARSE_CG_TOL = 1e-10
-PRECONDITIONERS = ("none", "mg-jacobi", "mg-ssor")
+VCYCLE_SMOOTHERS = ("mg-jacobi", "mg-ssor")
+PRECONDITIONERS = ("none", *VCYCLE_SMOOTHERS)
 
 
 class Hierarchy:
@@ -100,14 +102,19 @@ class Hierarchy:
             raise ParameterError(f"level must be in 1..{self.num_levels}, got {g}")
         return self.levels[g - 1]
 
-    def memory_reals(self) -> int:
-        """Count of all stored hierarchy numbers (values and indices, each
-        counted as one float64 slot)."""
-        count = sum(op.memory_reals() for op in self.levels)
-        count += sum(stored_size(f) for axis_factors in self.transfers for f in axis_factors)
+    def memory_bytes(self) -> int:
+        """Bytes of all stored hierarchy arrays: levels, transfer factors and
+        the coarse Cholesky factor."""
+        count = sum(op.memory_bytes() for op in self.levels)
+        count += sum(stored_bytes(f) for axis_factors in self.transfers for f in axis_factors)
         if self._coarse_factor is not None:
-            count += self._coarse_factor[0].size
+            count += self._coarse_factor[0].nbytes
         return int(count)
+
+    def memory_reals(self) -> float:
+        """`memory_bytes` in float64 slots (bytes / 8), for callers that
+        count in slots."""
+        return self.memory_bytes() / 8
 
     def workspace_reals(self) -> int:
         """Float64 count of the V-cycle working vectors (residual, coarse
@@ -131,6 +138,18 @@ def _swamped_term(level, dense) -> str:
     return (f"at lambda = {level.lam:g} the {small} lies below the rounding of the {large}, "
             f"which vanishes on {kernel}, so the matrix is singular in double precision; "
             f"a {fix} lambda avoids it")
+
+
+def _check_solve_memory(num_levels: int, degrees) -> None:
+    """Raise `CapacityError` when the solve vectors of the finest level alone,
+    CG's five, the right-hand side and the finest V-cycle level's three (72
+    bytes per coefficient), exceed the machine's physical memory."""
+    size = prod(2 ** num_levels + q for q in degrees)  # `build_space`'s dimensions
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 72 * size > physical:
+        raise CapacityError(f"level {num_levels} has {size} coefficients, whose solve vectors "
+                            f"need {72 * size / 2**30:.3g} GiB, more than the "
+                            f"{physical / 2**30:.3g} GiB of physical memory")
 
 
 def _check_identifiable(dataset: ScatteredDataset) -> None:
@@ -165,10 +184,10 @@ def first_assembled_level(spaces, n: int) -> int:
 
     ``spaces[g - 1]`` are the axis spaces of level ``g``.  The finest level
     ``G`` qualifies when ``2 nnz + K + 1`` CSR numbers (values, indices and
-    index pointers, as `stored_size` counts them) plus its ``K`` numbers of
-    ``B'y`` are at most the ``n (P (max q + 1) + P + 1)`` numbers of its
-    window values, offsets and bases; the window odometer is kept by both
-    storages.  Otherwise it is the finest level below ``G`` whose band
+    index pointers) plus its ``K`` numbers of ``B'y`` are at most the ``n (P
+    (max q + 1) + P + 1)`` numbers of its window values, offsets and bases;
+    the window odometer is kept by both storages.  The rule counts numbers,
+    not bytes, so a 32-bit CSR index weighs as much as a value.  Otherwise it is the finest level below ``G`` whose band
     holds at most ``n prod(q + 1)`` nonzeros.
     """
     degrees = [s.degree for s in spaces[-1]]
@@ -200,13 +219,16 @@ def build_hierarchy(
     spaces.  The coarsest level is factorized by Cholesky when its dimension
     is at most ``dense_cap`` and solved by nested CG otherwise.  Every
     level's diagonal is formed first, so that a ``lam`` whose penalty
-    overflows raises `ParameterError`.
+    overflows raises `ParameterError`.  Before any space is built, a finest
+    level whose solve vectors alone exceed physical memory raises
+    `CapacityError`.
     """
     if num_levels < 1:
         raise ParameterError(f"need at least one level, got {num_levels}")
     if nu1 < 0 or nu2 < 0:
         raise ParameterError("smoothing step counts must be non-negative")
     degrees = normalize_degrees(degrees, dataset.num_axes)
+    _check_solve_memory(num_levels, degrees)
     _check_identifiable(dataset)
     spaces = [level_spaces(dataset, g, degrees) for g in range(1, num_levels + 1)]
     transfers = [
@@ -349,32 +371,39 @@ def scaled_upper_triangle(matrix):
 
 
 def gauss_seidel_sweep(upper, root, alpha, b) -> None:
-    """One symmetric Gauss-Seidel sweep for ``A alpha = b`` in place; ``alpha``
-    may hold several columns.  With the `scaled_upper_triangle` ``upper`` and
-    ``root`` of ``A`` it runs on ``x = root * alpha`` and ``b / root``: first
-    ``x = tril(S)^{-1} (b / root - (triu(S) x - x))``, then the same with the
-    triangles swapped, ``tril(S)`` being the CSC view ``upper.T``."""
+    """One symmetric Gauss-Seidel sweep for ``A alpha = b`` in place.  With the
+    `scaled_upper_triangle` ``upper`` and ``root`` of ``A`` it runs on ``x =
+    root * alpha`` and ``b / root``: first ``x = tril(S)^{-1} (b / root -
+    (triu(S) x - x))``, then the same with the triangles swapped, ``tril(S)``
+    being the CSC view ``upper.T``."""
     from scipy.sparse.linalg import spsolve_triangular  # 1.4 MiB: not at package import
 
     lower = upper.T
-    scale = root.reshape(-1, *([1] * (np.ndim(alpha) - 1)))
-    x, bh = alpha * scale, b / scale
+    x, bh = alpha * root, b / root
     for solve, product, is_lower in ((lower, upper, True), (upper, lower, False)):
         x = spsolve_triangular(solve, bh - (product @ x - x), lower=is_lower,
                                unit_diagonal=True, overwrite_A=True, overwrite_b=True)
-    np.divide(x, scale, out=alpha)
+    np.divide(x, root, out=alpha)
 
 
 def gauss_seidel_smoother(hier: Hierarchy):
     """Symmetric Gauss-Seidel smoother ``(g, alpha, b, steps) -> alpha`` of levels
-    ``2..G`` (``alpha=None``: zero start) and the count of numbers it stores.
+    ``2..G`` (``alpha=None``: zero start) and the bytes it stores.
 
     Each level keeps only its `scaled_upper_triangle` and ``root``, cut from
-    its `LevelOperator.band_csr` (built and dropped on a windows level)."""
+    its `LevelOperator.band_csr` (built and dropped on a windows level).
+    Raises `CapacityError` when a smoothed level's `BandPattern` holds more
+    than ``hier.dense_cap**2`` entries, before any triangle is built."""
+    cap = hier.dense_cap ** 2  # entries of the largest dense matrix admitted
+    for op in hier.levels[1:]:
+        nnz = BandPattern(op.spaces).nnz
+        if nnz > cap:
+            raise CapacityError(f"mg-ssor on level {op.level}: its band holds {nnz} "
+                                f"entries, more than dense_cap**2 = {cap}")
     sweeps, stored = {}, 0
     for op in hier.levels[1:]:
         upper, root = scaled_upper_triangle(op.band_csr())
-        stored += stored_size(upper) + root.size
+        stored += stored_bytes(upper) + root.nbytes
         sweeps[op.level] = (upper, root)
 
     def smoother(g, alpha, b, steps):
@@ -387,26 +416,28 @@ def gauss_seidel_smoother(hier: Hierarchy):
     return smoother, stored
 
 
+def vcycle_smoother(hier: Hierarchy, name: str):
+    """The smoother ``(g, alpha, b, steps) -> alpha`` of the V-cycle preconditioner
+    ``name`` (``'mg-jacobi'`` or ``'mg-ssor'``; ``alpha=None``: zero start) and
+    the bytes it stores: `jacobi_smooth` on the level, matrix-free, or the
+    `gauss_seidel_smoother` of ``hier``."""
+    if name == "mg-jacobi":
+        # the module's `jacobi_smooth` is looked up at each call, so that a
+        # rebinding of it (a timing hook) reaches every V-cycle
+        return (lambda g, alpha, b, steps: jacobi_smooth(hier.levels[g - 1], alpha, b, steps)), 0
+    if name == "mg-ssor":
+        return gauss_seidel_smoother(hier)
+    raise ParameterError(f"unknown V-cycle smoother {name!r}; expected one of {VCYCLE_SMOOTHERS}")
+
+
 def preconditioner(hier: Hierarchy, name: str):
-    """The ``r -> z`` map named by ``name`` (one of `PRECONDITIONERS`) and the count of
-    numbers it stores beyond the hierarchy: the identity (``'none'``), or one V-cycle
-    from zero with `jacobi_smooth` or `gauss_seidel_smoother` sweeps.  ``'mg-ssor'``
-    raises `CapacityError` when a smoothed level's `BandPattern` holds more than
-    ``hier.dense_cap**2`` entries, before any triangle is built."""
+    """The ``r -> z`` map named by ``name`` (one of `PRECONDITIONERS`) and the bytes
+    it stores beyond the hierarchy: the identity (``'none'``), or one V-cycle from
+    zero with the `vcycle_smoother` of that name."""
     if name == "none":
         return (lambda r: r), 0
-    if name == "mg-jacobi":
-        return (lambda r: v_cycle(hier, None, r, hier.num_levels)), 0
-    if name == "mg-ssor":
-        cap = hier.dense_cap ** 2  # entries of the largest dense matrix admitted
-        for op in hier.levels[1:]:
-            nnz = BandPattern(op.spaces).nnz
-            if nnz > cap:
-                raise CapacityError(f"mg-ssor on level {op.level}: its band holds {nnz} "
-                                    f"entries, more than dense_cap**2 = {cap}")
-        smoother, stored = gauss_seidel_smoother(hier)
-        return (lambda r: v_cycle(hier, None, r, hier.num_levels, smoother=smoother)), stored
-    raise ParameterError(f"unknown preconditioner {name!r}; expected one of {PRECONDITIONERS}")
+    smoother, stored = vcycle_smoother(hier, name)
+    return (lambda r: v_cycle(hier, None, r, hier.num_levels, smoother=smoother)), stored
 
 
 def transfer(hier: Hierarchy, g: int, v, direction: str) -> np.ndarray:
@@ -445,7 +476,7 @@ def coarse_solve(hier: Hierarchy, b) -> np.ndarray:
 
     cfg = SolverConfig(COARSE_CG_TOL, max_iterations=20 * coarse.size, preconditioner="none")
     report = cg_solve(coarse, b, cfg)
-    if not (report.converged or report.true_relative_residual < 1.0):
+    if not report.true_relative_residual < 1.0:
         raise NumericError(
             f"nested coarse CG on level 1 (size {coarse.size}) ended at relative "
             f"residual {report.true_relative_residual:.3g}, no better than the zero "
@@ -461,7 +492,8 @@ def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> n
     Pre-smooth, restrict the residual ``A alpha - b``, recurse from a zero
     initial guess, subtract the prolonged coarse correction, post-smooth;
     level 1 is solved by `coarse_solve`.  ``alpha=None`` means a zero start.
-    ``smoother(g, alpha, b, steps)`` may replace the `jacobi_smooth` default.
+    ``smoother(g, alpha, b, steps)`` defaults to the ``'mg-jacobi'``
+    `vcycle_smoother`.
     """
     g = hier.num_levels if g is None else int(g)
     if g == 1:
@@ -472,9 +504,7 @@ def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> n
         raise ShapeError(f"expected vector of length {level.size}, got {b.shape}")
 
     if smoother is None:
-        def smoother(gg, a, rhs, steps):
-            return jacobi_smooth(hier.level(gg), a, rhs, steps)
-
+        smoother, _ = vcycle_smoother(hier, "mg-jacobi")
     alpha = smoother(g, alpha, b, hier.nu1)
     r = level.apply(alpha) - b
     r_coarse = kron_matvec_transposed(hier.transfers[g - 2], r)

@@ -65,7 +65,8 @@ class SolveReport:
     recomputed once from the returned coefficients.  The two drift apart
     when the tolerance lies below ``rounding_floor``, the estimate of
     `rounding_floor` for the relative residual that rounding alone leaves
-    in ``A x``.
+    in ``A x``.  ``converged`` is false whenever the true relative residual
+    is 1 or more: such an iterate is no better than the zero vector.
     """
 
     iterations: int
@@ -103,11 +104,12 @@ def rounding_floor(op, x, b) -> float:
     return np.finfo(np.float64).eps * size / norm_b
 
 
-def _pcg(op, b, precond, tol, maxiter, aux_reals, label):
+def _pcg(op, b, precond, tol, maxiter, aux_bytes, label):
     """Preconditioned CG on ``op.apply`` with step length ``r'z / p'Ap`` and
     direction update ``p = z + (r'z / r~'z~) p``; ``precond=None`` runs
     plain CG (then ``z`` aliases ``r`` and no copy is made).  The rounding
-    floor takes one ``op.abs_apply`` at the end."""
+    floor takes one ``op.abs_apply`` at the end.  A solve converges when the
+    recursive residual reaches ``tol`` and the true one is below ``||b||``."""
     t0 = time.perf_counter()
     apply_fn = op.apply
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -119,7 +121,7 @@ def _pcg(op, b, precond, tol, maxiter, aux_reals, label):
             iterations=0,
             residual_history=np.array(history),
             wall_time=time.perf_counter() - t0,
-            peak_auxiliary_memory_estimate=(aux_reals + 4 * b.size) * 8,
+            peak_auxiliary_memory_estimate=aux_bytes + 4 * b.nbytes,
             converged=True,
             coefficients=x,
             true_relative_residual=0.0,
@@ -162,8 +164,8 @@ def _pcg(op, b, precond, tol, maxiter, aux_reals, label):
         iterations=k,
         residual_history=np.array(history),
         wall_time=time.perf_counter() - t0,
-        peak_auxiliary_memory_estimate=(aux_reals + n_vec * b.size) * 8,
-        converged=converged,
+        peak_auxiliary_memory_estimate=aux_bytes + n_vec * b.nbytes,
+        converged=converged and true_residual < 1.0,
         coefficients=x,
         true_relative_residual=true_residual,
         rounding_floor=floor,
@@ -181,7 +183,7 @@ def cg_solve(op: LevelOperator, b, cfg: SolverConfig | None = None) -> SolveRepo
     cfg = cfg or SolverConfig(preconditioner="none")
     window = op.design.rel.shape[0] if hasattr(op, "design") else 0
     return _pcg(op, b, None, cfg.tolerance, cfg.resolved_max_iterations(op.size),
-                aux_reals=window, label="cg")
+                aux_bytes=8 * window, label="cg")
 
 
 def mgcg_solve(hier: Hierarchy, y=None, cfg: SolverConfig | None = None) -> SolveReport:
@@ -204,4 +206,4 @@ def mgcg_solve(hier: Hierarchy, y=None, cfg: SolverConfig | None = None) -> Solv
         return cg_solve(op, b, cfg)
     precond, stored = preconditioner(hier, cfg.preconditioner)
     return _pcg(op, b, precond, cfg.tolerance, cfg.resolved_max_iterations(op.size),
-                aux_reals=hier.workspace_reals() + b.size + stored, label="mgcg")
+                aux_bytes=8 * (hier.workspace_reals() + b.size) + stored, label="mgcg")

@@ -40,7 +40,7 @@ from .tensorops import (
     khatri_rao_tmatvec,
     kron_diagonal,
     kron_matvec,
-    stored_size,
+    stored_bytes,
 )
 
 DENSE_CAP = 20_000
@@ -462,19 +462,19 @@ class LevelOperator:
             )
         return self.band_csr().toarray()
 
-    def memory_reals(self) -> int:
-        """Count of the stored operator numbers, each counted as one float64
-        slot: design windows, assembled matrix (values and CSR indices) and
-        kept ``B'y``, penalty factors, cached diagonal and index helpers."""
+    def memory_bytes(self) -> int:
+        """Bytes of the stored operator arrays: design windows, assembled
+        matrix (values and CSR indices) and kept ``B'y``, penalty factors,
+        cached float64 diagonal and index helpers."""
         f = self.design
-        count = f.values.size + f.offsets.size + f.base.size
-        count += f.rel.size + f.digits.size
+        count = f.values.nbytes + f.offsets.nbytes + f.base.nbytes
+        count += f.rel.nbytes + f.digits.nbytes
         if self.matrix is not None:
-            count += stored_size(self.matrix)
+            count += stored_bytes(self.matrix)
         if self._rhs is not None:
-            count += self._rhs.size
-        count += sum(stored_size(g) for t in self.penalty for g in t.factors)
-        count += self.size  # cached diagonal
+            count += self._rhs.nbytes
+        count += sum(stored_bytes(g) for t in self.penalty for g in t.factors)
+        count += 8 * self.size  # cached diagonal
         return int(count)
 
 

@@ -89,10 +89,10 @@ def kron_diagonal(factors) -> np.ndarray:
     return np.ravel(diag)
 
 
-def stored_size(factor) -> int:
-    """Count of stored numbers of a compressed sparse factor: values, indices
-    and index pointers."""
-    return int(factor.data.size + factor.indices.size + factor.indptr.size)
+def stored_bytes(factor) -> int:
+    """Bytes of a compressed sparse factor's arrays: values, indices and index
+    pointers, each at its own item size."""
+    return int(factor.data.nbytes + factor.indices.nbytes + factor.indptr.nbytes)
 
 
 @dataclass

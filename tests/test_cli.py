@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import warnings
 
 import numpy as np
@@ -26,6 +27,41 @@ def fit_dir(tmp_path):
     code = run(["fit", *BASE_FIT, "--output", out])
     assert code == cli.EXIT_OK
     return out
+
+
+DATA_FLAGS = {"--dim", "--n", "--noise", "--seed"}
+HIERARCHY_FLAGS = {"--lambda", "--degree", "--nu1", "--nu2", "--dense-cap"}
+SOLVER_FLAGS = {"--tol", "--max-iter", "--precond"}
+
+
+class TestFlags:
+    def test_each_subcommand_accepts_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        flags = {name: {a.option_strings[-1] for a in sub._actions if a.dest != "help"}
+                 for name, sub in commands.items()}
+        source = DATA_FLAGS | {"--input"}
+        assert flags == {
+            "generate": DATA_FLAGS | {"--output"},
+            "fit": source | {"--levels"} | HIERARCHY_FLAGS | SOLVER_FLAGS | {"--output", "--grid"},
+            "predict": {"--model", "--input", "--output"},
+            "analyze": source | {"--levels"} | HIERARCHY_FLAGS | {"--output"},
+            "bench": source | HIERARCHY_FLAGS | SOLVER_FLAGS | {"--g-min", "--g-max", "--output"},
+        }
+        assert sum(map(len, flags.values())) == 52
+
+    @pytest.mark.parametrize("command,flag", [
+        *[("generate", f) for f in ("--levels", "--lambda", "--degree", "--tol", "--max-iter",
+                                    "--nu1", "--nu2", "--precond", "--dense-cap")],
+        *[("analyze", f) for f in ("--tol", "--max-iter", "--precond", "--skip-ssor")],
+        ("bench", "--levels"),
+    ])
+    def test_unread_flag_is_gone(self, tmp_path, capsys, command, flag):
+        value = [] if flag == "--skip-ssor" else ["mg-jacobi" if flag == "--precond" else 2]
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--dim", 1, "--n", 50, flag, *value, "--output", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -237,6 +273,35 @@ class TestFit:
         assert 0.0 < solver["rounding_floor"] < 1e-9  # BASE_FIT's --tol
         assert "warning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam,code,true_residual", [
+        ("1e13", cli.EXIT_OK, 0.132),
+        ("1e15", cli.EXIT_NO_CONVERGENCE, 2.87),
+        ("1e18", cli.EXIT_NO_CONVERGENCE, 10.6),
+    ])
+    def test_no_convergence_worse_than_zero_vector(self, tmp_path, capsys, lam, code,
+                                                   true_residual):
+        # lam swamps the data term below the rounding floor; CG's recursive
+        # residual still reaches --tol, but at 1e15 and 1e18 the iterate is
+        # worse than the zero vector
+        out = tmp_path / "l"
+        assert run(["fit", "--dim", 2, "--n", 300, "--levels", 3, "--lambda", lam,
+                    "--output", out]) == code
+        solver = json.loads((out / "report.json").read_text())["solver"]
+        assert solver["converged"] is (code == cli.EXIT_OK)
+        assert solver["true_relative_residual"] == pytest.approx(true_residual, rel=0.01)
+        err = capsys.readouterr().err
+        if code == cli.EXIT_OK:
+            assert "did not converge" not in err
+        else:
+            assert f"residual below 1, which is {true_residual:.3g}" in err
+
+    def test_too_many_levels_exit_code_before_allocating(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = run(["fit", "--dim", 1, "--n", 300, "--levels", 40, "--output", tmp_path / "g"])
+        assert code == cli.EXIT_CAPACITY
+        assert time.perf_counter() - start < 10.0
+        assert "level 40 has 1099511627779 coefficients" in capsys.readouterr().err
+
     def test_failed_nested_coarse_solve_exit_code(self, tmp_path, capsys):
         # level 1 (49 unknowns) has condition number near 1e14: the nested
         # CG that replaces Cholesky under --dense-cap 1 ends worse than zero
@@ -311,7 +376,8 @@ class TestFit:
 
     @pytest.mark.parametrize("command", ["fit", "generate", "bench"])
     def test_negative_seed_exit_code(self, tmp_path, capsys, command):
-        code = run([command, "--dim", 1, "--n", 50, "--seed", -1, "--levels", 2,
+        levels = ["--levels", 2] if command == "fit" else []  # only fit reads --levels
+        code = run([command, "--dim", 1, "--n", 50, "--seed", -1, *levels,
                     "--output", tmp_path / "s"])
         assert code == cli.EXIT_CONFIG
         assert "seed must be >= 0" in capsys.readouterr().err
@@ -320,7 +386,8 @@ class TestFit:
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_non_finite_noise_exit_code(self, tmp_path, capsys, command, noise):
         out = tmp_path / "n"
-        code = run([command, "--dim", 1, "--n", 50, "--levels", 2, "--noise", noise,
+        levels = ["--levels", 2] if command == "fit" else []  # only fit reads --levels
+        code = run([command, "--dim", 1, "--n", 50, *levels, "--noise", noise,
                     "--output", out])
         assert code == cli.EXIT_CONFIG
         assert "--noise must be finite" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse
 
 from splinemg import (
+    CapacityError,
     Hierarchy,
     NumericError,
     ParameterError,
@@ -31,7 +32,7 @@ from splinemg.multigrid import (
 )
 from splinemg.solvers import cg_solve, mgcg_solve
 from splinemg.system import BandPattern, LevelOperator
-from splinemg.tensorops import stored_size
+from splinemg.tensorops import stored_bytes
 from conftest import make_dataset
 from oracles import DenseOperator, dense_kron, dense_rhs
 
@@ -67,7 +68,7 @@ class TestBuildHierarchy:
         factors = [f for op in hier.levels for t in op.penalty for f in t.factors]
         factors += [f for axis_factors in hier.transfers for f in axis_factors]
         assert all(scipy.sparse.issparse(f) for f in factors)
-        assert sum(stored_size(f) for f in factors) < 32 * sum(dims)
+        assert sum(f.data.size + f.indices.size + f.indptr.size for f in factors) < 32 * sum(dims)
         assert peak < dims[-1] ** 2  # bytes: an eighth of one dense finest factor
 
     def test_transfer_shapes_chain(self, hier_2d):
@@ -427,7 +428,7 @@ class TestAssembledLevels:
         assert hier.finest.storage == "csr"
         reference = windows_finest(hier)
         assert reference.finest.storage == "windows"
-        assert hier.memory_reals() <= reference.memory_reals()
+        assert hier.memory_bytes() <= reference.memory_bytes()
 
     def test_finest_rule_keeps_the_workload_storages(self):
         # P=1 G=12 n=100k assembles the finest level; P=2 G=7 n=100k and
@@ -454,14 +455,32 @@ class TestAssembledLevels:
         hier = build_hierarchy(data, 5, 1.0)  # the finest level stays windows
         for op in hier.levels[:-1]:
             assert op.design.n_cols == 0 and op.design.values.size == 0
-            penalty = sum(stored_size(g) for t in op.penalty for g in t.factors)
-            helpers = op.design.rel.size + op.design.digits.size
-            assert op.memory_reals() == stored_size(op.matrix) + penalty + helpers + op.size
+            penalty = sum(stored_bytes(g) for t in op.penalty for g in t.factors)
+            helpers = op.design.rel.nbytes + op.design.digits.nbytes
+            assert op.memory_bytes() == stored_bytes(op.matrix) + penalty + helpers + 8 * op.size
         finest = hier.finest
         assert finest.storage == "windows" and finest.design.n_cols == data.n
-        transfers = sum(stored_size(f) for axis in hier.transfers for f in axis)
-        total = sum(op.memory_reals() for op in hier.levels) + transfers + 25 * 25
-        assert hier.memory_reals() == total
+        transfers = sum(stored_bytes(f) for axis in hier.transfers for f in axis)
+        total = sum(op.memory_bytes() for op in hier.levels) + transfers + 8 * 25 * 25
+        assert hier.memory_bytes() == total == 8 * hier.memory_reals()
+
+    def test_refuses_a_finest_level_beyond_memory_before_building_it(self):
+        # 2**40 + 3 coefficients need 72 bytes each for the solve vectors alone
+        data = make_dataset(1, 300, seed=1)
+        tracemalloc.start()
+        with pytest.raises(CapacityError, match="level 40 has 1099511627779 coefficients"):
+            build_hierarchy(data, 40, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_memory_counts_the_bytes_of_32_bit_indices(self):
+        # 32-bit indices and index pointers count 4 bytes each, not 8
+        hier = build_hierarchy(generate_dataset(2, 20_000, 0.1, seed=1), 5, 1.0)
+        for g, nbytes in ((3, 51_188), (5, 656_372)):
+            m = hier.level(g).matrix
+            assert m.indices.dtype == m.indptr.dtype == np.int32
+            assert stored_bytes(m) == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes == nbytes
 
     def test_mgcg_matches_matrix_free_hierarchy(self):
         data = make_dataset(2, 20_000, seed=8)

@@ -18,7 +18,7 @@ from splinemg import multigrid
 from splinemg.multigrid import preconditioner
 from splinemg.solvers import _pcg
 from splinemg.system import BandPattern, LevelOperator
-from splinemg.tensorops import stored_size
+from splinemg.tensorops import stored_bytes
 from oracles import DenseOperator, dense_ssor_vcycle
 
 
@@ -136,7 +136,7 @@ class TestMgcg:
         identity, stored = preconditioner(hier, "none")
         assert stored == 0
         ident = _pcg(op, op.rhs(), lambda r: identity(r).copy(), cfg.tolerance,
-                     cfg.max_iterations, aux_reals=0, label="mgcg")
+                     cfg.max_iterations, aux_bytes=0, label="mgcg")
         assert ident.iterations == plain.iterations
         npt.assert_allclose(ident.coefficients, plain.coefficients, atol=1e-12)
         npt.assert_allclose(ident.residual_history, plain.residual_history, rtol=1e-12)
@@ -173,11 +173,11 @@ class TestMgcg:
         copies = 0
         for op in hier.levels[1:]:
             a = scipy.sparse.csr_array(op.assemble_dense())
-            copies += stored_size(scipy.sparse.triu(a, format="csr")) + op.size
+            copies += stored_bytes(scipy.sparse.triu(a, format="csr")) + 8 * op.size
         # workspace, right-hand side and five CG vectors
         assert jacobi.peak_auxiliary_memory_estimate == 8 * (hier.workspace_reals() + 6 * k)
         assert ssor.peak_auxiliary_memory_estimate == (
-            jacobi.peak_auxiliary_memory_estimate + 8 * copies
+            jacobi.peak_auxiliary_memory_estimate + copies
         )
 
     def test_precond_mg_ssor_runs_above_dense_cap(self, small_dataset_2d):

@@ -25,7 +25,7 @@ from splinemg import (
 )
 from splinemg import kernels
 from splinemg.system import LevelOperator
-from splinemg.tensorops import stored_size
+from splinemg.tensorops import stored_bytes
 from conftest import make_dataset
 from oracles import dense_rhs, dense_system_matrix, dense_tensor_design
 
@@ -172,10 +172,10 @@ class TestRhs:
         op = LevelOperator(data, 3, 1.0).assemble(keep_rhs=True)
         kept = op.rhs()
         npt.assert_allclose(kept, dense_rhs(op), rtol=1e-12, atol=1e-12)
-        penalty = sum(stored_size(g) for t in op.penalty for g in t.factors)
-        helpers = op.design.rel.size + op.design.digits.size
+        penalty = sum(stored_bytes(g) for t in op.penalty for g in t.factors)
+        helpers = op.design.rel.nbytes + op.design.digits.nbytes
         # CSR, penalty factors, window odometer, diagonal and the kept B'y
-        assert op.memory_reals() == stored_size(op.matrix) + penalty + helpers + 2 * op.size
+        assert op.memory_bytes() == stored_bytes(op.matrix) + penalty + helpers + 16 * op.size
         y = rng.standard_normal(data.n)
         npt.assert_allclose(op.rhs(y), dense_rhs(op, y), rtol=1e-12, atol=1e-12)
         # the default right-hand side is a copy of the kept vector, formed
