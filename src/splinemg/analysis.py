@@ -2,22 +2,21 @@
 
 Everything here assembles dense matrices by probing linear maps with unit
 vectors, so all routines are guarded by the ``dense_cap`` the hierarchy was
-built with.  The module provides the preconditioned-operator probes,
+built with.  The module provides the inverse-preconditioner probe,
 eigenvalue/condition reports and the stationary-iteration error propagator
 of the V-cycle.  The preconditioners probed are the solver's own, built by
 `multigrid.preconditioner` from the names of `multigrid.PRECONDITIONERS`, and
-the smoothers of the propagator are those of `multigrid.vcycle_smoother`.
+the propagator is read from the same probe: there is no second V-cycle here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, NumericError
-from .multigrid import VCYCLE_SMOOTHERS, Hierarchy, preconditioner, vcycle_smoother
+from .multigrid import VCYCLE_SMOOTHERS, Hierarchy, preconditioner, require_vcycle_name
 
 
 @dataclass(frozen=True)
@@ -66,70 +65,38 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
-def _check_cap(size: int, cap: int, what: str) -> None:
-    if size > cap:
-        raise CapacityError(f"{what} of dimension {size} exceeds dense cap {cap}")
-
-
-def _columns(size: int, column) -> np.ndarray:
-    """Dense ``size x size`` matrix whose column ``j`` is ``column(e_j)``."""
-    out = np.empty((size, size))
-    e = np.zeros(size)
+def probe_inverse_preconditioner(hier: Hierarchy, name: str = "mg-jacobi") -> np.ndarray:
+    """Assemble ``M^{-1}`` columnwise (one application of the preconditioner
+    ``name`` per unit vector)."""
+    if hier.finest.size > hier.dense_cap:
+        raise CapacityError(f"preconditioner probe of dimension {hier.finest.size} "
+                            f"exceeds dense cap {hier.dense_cap}")
+    precond, _ = preconditioner(hier, name)
+    size = hier.finest.size
+    out, e = np.empty((size, size)), np.zeros(size)
     for j in range(size):
         e[j] = 1.0
-        out[:, j] = column(e)
+        out[:, j] = precond(e)  # copied before e changes; `none` returns e itself
         e[j] = 0.0
     return out
 
 
-def probe_preconditioned(hier: Hierarchy, name: str = "mg-jacobi") -> np.ndarray:
-    """Assemble ``M^{-1} A`` columnwise for the preconditioner ``name`` (one
-    of `PRECONDITIONERS`): one operator application plus one application of
-    the preconditioner per unit vector."""
-    op = hier.finest
-    _check_cap(op.size, hier.dense_cap, "preconditioned-operator probe")
-    precond, _ = preconditioner(hier, name)
-    return _columns(op.size, lambda e: precond(op.apply(e)))
+def iteration_matrix(hier: Hierarchy, name: str = "mg-jacobi") -> np.ndarray:
+    """Error propagator ``I - M^{-1} A`` of the V-cycle preconditioner ``name``
+    (one of `VCYCLE_SMOOTHERS`) as a stationary iteration.
 
-
-def probe_inverse_preconditioner(hier: Hierarchy, name: str = "mg-jacobi") -> np.ndarray:
-    """Assemble ``M^{-1}`` columnwise (one application of the preconditioner
-    ``name`` per unit vector)."""
-    _check_cap(hier.finest.size, hier.dense_cap, "preconditioner probe")
-    precond, _ = preconditioner(hier, name)
-    return _columns(hier.finest.size, lambda e: precond(e.copy()))
-
-
-def iteration_matrix(hier: Hierarchy, g: int | None = None, name: str = "mg-jacobi") -> np.ndarray:
-    """Error propagator of the V-cycle preconditioner ``name`` (one of
-    `VCYCLE_SMOOTHERS`) as a stationary iteration.
-
-    Built by the two-grid recursion: zero on the coarsest level, and on each
-    finer level post-smoothing times the coarse-grid correction
-    ``I - I_up (I - C_coarse) A_coarse^{-1} I_down A`` times pre-smoothing.
-    A smoothing propagator is the image of the identity's columns, one at a
-    time, under the `vcycle_smoother`'s own ``nu1`` (before) or ``nu2``
-    (after) steps with a zero right-hand side.  The stationary V-cycle
-    converges iff the spectral radius is below one.
+    ``M^{-1}`` is `probe_inverse_preconditioner`, the cycle the solver runs,
+    and ``A`` the finest level's `assemble_dense`: one cycle from ``alpha``
+    is the consistent affine iteration ``alpha + M^{-1} (b - A alpha)``.  A
+    single level's cycle is the exact coarse solve, whose propagator is zero.
+    The stationary V-cycle converges iff the spectral radius is below one.
+    Sweep counts that `multigrid.preconditioner` refuses are refused here.
     """
-    smooth, _ = vcycle_smoother(hier, name)
-    g = hier.num_levels if g is None else int(g)
-    dense = [hier.level(gg).assemble_dense(hier.dense_cap) for gg in range(1, g + 1)]
-
-    def smoothing(gg, steps):
-        # the smoother maps the error e to S e when the right-hand side is zero
-        zero = np.zeros(dense[gg - 1].shape[0])
-        return _columns(zero.size, lambda e: smooth(gg, e, zero, steps))
-
-    c = np.zeros((dense[0].shape[0], dense[0].shape[0]))
-    for gg in range(2, g + 1):
-        a = dense[gg - 1]
-        prolong = reduce(np.kron, [f.toarray() for f in hier.transfers[gg - 2]])
-        coarse_correction = np.eye(a.shape[0]) - prolong @ (
-            (np.eye(prolong.shape[1]) - c) @ np.linalg.solve(dense[gg - 2], prolong.T @ a)
-        )
-        c = smoothing(gg, hier.nu2) @ coarse_correction @ smoothing(gg, hier.nu1)
-    return c
+    require_vcycle_name(name)
+    a = hier.finest.assemble_dense(hier.dense_cap)
+    if hier.num_levels == 1:
+        return np.zeros_like(a)
+    return np.eye(a.shape[0]) - probe_inverse_preconditioner(hier, name) @ a
 
 
 def condition_summary(hier: Hierarchy) -> dict:

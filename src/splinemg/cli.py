@@ -27,6 +27,7 @@ A subcommand accepts only the flags it reads, each defaulting to its
 `RunConfig` field: ``generate`` the dataset flags, ``analyze`` all but the
 solver's, ``bench`` all but ``--levels``.  ``--precond`` is
 `SolverConfig.preconditioner`, which `mgcg_solve` dispatches on.
+`multigrid.preconditioner` requires equal, positive ``--nu1``/``--nu2`` (exit 2).
 ``--dense-cap`` is the hierarchy's ``dense_cap``: the Cholesky coarse solve
 and the ``analyze`` probes form dense matrices up to that size, and
 ``mg-ssor`` refuses a level band of more than ``dense_cap**2`` entries.
@@ -53,7 +54,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .multigrid import PRECONDITIONERS, build_hierarchy
+from .multigrid import PRECONDITIONERS, VCYCLE_SMOOTHERS, build_hierarchy
 from .solvers import SolverConfig, mgcg_solve
 from .system import DENSE_CAP, ScatteredDataset, design_factors, normalize_degrees
 from .tensorops import khatri_rao_tmatvec
@@ -97,8 +98,6 @@ class RunConfig:
             raise ParameterError(f"--lambda must be finite and positive, got {self.lam}")
         normalize_degrees(self.degree, self.dim)
         self.solver_config()  # checks --tol, --max-iter and --precond
-        if self.nu1 < 0 or self.nu2 < 0:
-            raise ParameterError("--nu1/--nu2 must be non-negative")
         if not np.isfinite(self.noise):
             raise ParameterError(f"--noise must be finite, got {self.noise}")
         if self.input is None and (self.n < 1 or self.noise < 0):
@@ -408,7 +407,8 @@ def _cmd_analyze(args) -> int:
     data, _ = _load_points(cfg)
     hier = cfg.hierarchy(data)
     reports = analysis.condition_summary(hier)
-    rho = analysis.spectral_radius(analysis.iteration_matrix(hier))
+    eigs = reports["mg-jacobi"].eigenvalues  # the propagator I - M^-1 A has 1 - eigs
+    rho = float(max(abs(1.0 - eigs[0]), abs(1.0 - eigs[-1])))
     print(f"{'operator':<12} {'condition':>12} {'eig min':>12} {'eig max':>12}")
     for key, rep in reports.items():
         print(
@@ -443,15 +443,16 @@ def _cmd_bench(args) -> int:
     if args.g_min < 2 or args.g_max < args.g_min:
         raise ParameterError("need 2 <= --g-min <= --g-max")
     if cfg.precond == "none":
-        raise ParameterError("bench sets plain CG beside --precond; choose mg-jacobi or mg-ssor")
+        raise ParameterError("bench sets plain CG beside --precond; choose "
+                             + " or ".join(VCYCLE_SMOOTHERS))
     data, _ = _load_points(cfg)
     rows, unconverged = [], []
     header = ("G", "K", "cg_iters", "cg_seconds", "mgcg_iters", "mgcg_seconds")
     print("\t".join(header))
     for g in range(args.g_min, args.g_max + 1):
         hier = cfg.hierarchy(data, levels=g)
+        mg = mgcg_solve(hier, cfg=cfg.solver_config())  # first: it may refuse the sweeps
         plain = mgcg_solve(hier, cfg=cfg.solver_config("none"))
-        mg = mgcg_solve(hier, cfg=cfg.solver_config())
         unconverged += [(g, rep.label) for rep in (plain, mg) if not rep.converged]
         row = (g, hier.finest.size, plain.iterations, round(plain.wall_time, 3),
                mg.iterations, round(mg.wall_time, 3))

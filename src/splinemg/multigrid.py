@@ -20,8 +20,9 @@ over the data.  Only the coarsest operator is factorized; above the dense
 cap it is solved by the package's CG (`solvers.cg_solve`) instead.
 
 `preconditioner` turns a name of `PRECONDITIONERS` into the ``r -> z`` map
-of one solve step: the identity (``none``), or one V-cycle from zero with the
-`vcycle_smoother` of that name, the one place that builds a smoother:
+of one solve step, given equal sweep counts: the identity (``none``), or one
+V-cycle from zero with the `vcycle_smoother` of that name, the one place that
+builds a smoother:
 Chebyshev sweeps on ``D^{-1} A`` (``mg-jacobi``, matrix-free; `jacobi_smooth`)
 or symmetric Gauss-Seidel sweeps (``mg-ssor``, one stored CSR triangle of
 ``D^{-1/2} A D^{-1/2}`` per level; `gauss_seidel_smoother`).
@@ -225,8 +226,10 @@ def build_hierarchy(
     """
     if num_levels < 1:
         raise ParameterError(f"need at least one level, got {num_levels}")
-    if nu1 < 0 or nu2 < 0:
-        raise ParameterError("smoothing step counts must be non-negative")
+    for label, count in (("nu1", nu1), ("nu2", nu2)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ParameterError(f"{label} must be a non-negative integer sweep count, "
+                                 f"got {count!r}")
     degrees = normalize_degrees(degrees, dataset.num_axes)
     _check_solve_memory(num_levels, degrees)
     _check_identifiable(dataset)
@@ -416,26 +419,41 @@ def gauss_seidel_smoother(hier: Hierarchy):
     return smoother, stored
 
 
+def require_vcycle_name(name: str) -> None:
+    """Raise `ParameterError` unless ``name`` is one of `VCYCLE_SMOOTHERS`."""
+    if name not in VCYCLE_SMOOTHERS:
+        raise ParameterError(f"unknown V-cycle smoother {name!r}; "
+                             f"expected one of {VCYCLE_SMOOTHERS}")
+
+
 def vcycle_smoother(hier: Hierarchy, name: str):
     """The smoother ``(g, alpha, b, steps) -> alpha`` of the V-cycle preconditioner
     ``name`` (``'mg-jacobi'`` or ``'mg-ssor'``; ``alpha=None``: zero start) and
     the bytes it stores: `jacobi_smooth` on the level, matrix-free, or the
     `gauss_seidel_smoother` of ``hier``."""
+    require_vcycle_name(name)
     if name == "mg-jacobi":
         # the module's `jacobi_smooth` is looked up at each call, so that a
         # rebinding of it (a timing hook) reaches every V-cycle
         return (lambda g, alpha, b, steps: jacobi_smooth(hier.levels[g - 1], alpha, b, steps)), 0
-    if name == "mg-ssor":
-        return gauss_seidel_smoother(hier)
-    raise ParameterError(f"unknown V-cycle smoother {name!r}; expected one of {VCYCLE_SMOOTHERS}")
+    return gauss_seidel_smoother(hier)
 
 
 def preconditioner(hier: Hierarchy, name: str):
     """The ``r -> z`` map named by ``name`` (one of `PRECONDITIONERS`) and the bytes
     it stores beyond the hierarchy: the identity (``'none'``), or one V-cycle from
-    zero with the `vcycle_smoother` of that name."""
+    zero with the `vcycle_smoother` of that name.  The one judge of which sweep
+    counts a V-cycle preconditioner may use: on more than one level it refuses
+    (`ParameterError`) ``nu1 + nu2 == 0``, a singular ``P A_c^{-1} P'``, and
+    ``nu1 != nu2``, a nonsymmetric cycle, which CG cannot take."""
     if name == "none":
         return (lambda r: r), 0
+    require_vcycle_name(name)
+    if hier.num_levels > 1 and (hier.nu1 != hier.nu2 or hier.nu1 == 0):
+        raise ParameterError(f"{name} needs nu1 + nu2 > 0 and nu1 == nu2, got nu1={hier.nu1} "
+                             f"and nu2={hier.nu2}: CG needs a nonsingular, symmetric "
+                             "preconditioner, and a V-cycle is one only when its "
+                             "post-smoothing mirrors its nonzero pre-smoothing")
     smoother, stored = vcycle_smoother(hier, name)
     return (lambda r: v_cycle(hier, None, r, hier.num_levels, smoother=smoother)), stored
 
@@ -491,9 +509,9 @@ def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> n
 
     Pre-smooth, restrict the residual ``A alpha - b``, recurse from a zero
     initial guess, subtract the prolonged coarse correction, post-smooth;
-    level 1 is solved by `coarse_solve`.  ``alpha=None`` means a zero start.
-    ``smoother(g, alpha, b, steps)`` defaults to the ``'mg-jacobi'``
-    `vcycle_smoother`.
+    level 1 is solved by `coarse_solve` and vectors move by `transfer`.
+    ``alpha=None`` means a zero start.  ``smoother(g, alpha, b, steps)``
+    defaults to the ``'mg-jacobi'`` `vcycle_smoother`.  Any sweep counts run.
     """
     g = hier.num_levels if g is None else int(g)
     if g == 1:
@@ -507,7 +525,6 @@ def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> n
         smoother, _ = vcycle_smoother(hier, "mg-jacobi")
     alpha = smoother(g, alpha, b, hier.nu1)
     r = level.apply(alpha) - b
-    r_coarse = kron_matvec_transposed(hier.transfers[g - 2], r)
-    e = v_cycle(hier, None, r_coarse, g - 1, smoother)
-    alpha -= kron_matvec(hier.transfers[g - 2], e)
+    e = v_cycle(hier, None, transfer(hier, g, r, "restrict"), g - 1, smoother)
+    alpha -= transfer(hier, g - 1, e, "prolong")
     return smoother(g, alpha, b, hier.nu2)

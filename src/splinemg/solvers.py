@@ -191,15 +191,12 @@ def mgcg_solve(hier: Hierarchy, y=None, cfg: SolverConfig | None = None) -> Solv
 
     The right-hand side is the finest-level ``B'y`` (training responses by
     default).  ``'mg-jacobi'`` and ``'mg-ssor'`` apply one V-cycle from a
-    zero initial guess per iteration (`multigrid.preconditioner`; the memory
-    estimate counts what ``'mg-ssor'`` stores per level) and need ``nu1 + nu2
-    > 0``, as ``P A_c^{-1} P'`` is singular; ``'none'`` returns `cg_solve`'s
-    report (label ``cg``).
+    zero initial guess per iteration (`multigrid.preconditioner`, which also
+    decides which sweep counts a V-cycle preconditioner may use; the memory
+    estimate counts what ``'mg-ssor'`` stores per level); ``'none'`` returns
+    `cg_solve`'s report (label ``cg``) and reads no sweep count.
     """
     cfg = cfg or SolverConfig()
-    if cfg.preconditioner != "none" and hier.num_levels > 1 and hier.nu1 + hier.nu2 == 0:
-        raise ParameterError(f"{cfg.preconditioner} needs nu1 + nu2 > 0: a V-cycle "
-                             "without smoothing is a singular preconditioner")
     op = hier.finest
     b = op.rhs(y)
     if cfg.preconditioner == "none":

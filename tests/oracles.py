@@ -8,6 +8,7 @@ matrix-free production path it checks.
 from functools import reduce
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 from scipy.linalg import solve_triangular
@@ -109,6 +110,44 @@ def dense_ssor_vcycle(hier, b):
         for _ in range(hier.nu2):
             sweep(a, x, rhs)
         return x
+
+    return cycle(hier.num_levels, np.asarray(b, dtype=np.float64))
+
+
+def dense_jacobi_vcycle(hier, b):
+    """One V-cycle from zero with dense Chebyshev smoothing on ``D^-1 A``.
+
+    Every level is rediscretized densely from the data (`dense_system_matrix`).
+    A smoothing of ``nu`` steps maps the error by the explicit polynomial
+    ``T_nu((theta - t) / delta) / T_nu(theta / delta)`` of ``t = D^-1 A``,
+    formed through the eigendecomposition of ``D^-1/2 A D^-1/2``, where
+    ``theta`` and ``delta`` are the centre and half-width of ``[lambda_max /
+    c, lambda_max]``: ``lambda_max`` is the level's stored ``spectral_bound``
+    (set by a V-cycle of the package) and ``c = max(2, (q - 1) P^2)``.  The
+    transfers are explicit Kronecker products and level 1 is solved directly.
+    """
+    mats = [dense_system_matrix(op) for op in hier.levels]
+
+    def smoothing(op, a, steps):
+        upper = op.spectral_bound
+        lower = upper / max(2, (max(op.degrees) - 1) * len(op.degrees) ** 2)
+        theta, delta = 0.5 * (upper + lower), 0.5 * (upper - lower)
+        root = np.sqrt(np.diag(a))
+        eigenvalues, q = np.linalg.eigh(a / np.outer(root, root))
+        series = [0.0] * steps + [1.0]
+        factor = chebval((theta - eigenvalues) / delta, series) / chebval(theta / delta, series)
+        return (q * factor / root[:, None]) @ (q.T * root)
+
+    def cycle(g, rhs):
+        a = mats[g - 1]
+        exact = np.linalg.solve(a, rhs)
+        if g == 1:
+            return exact
+        op = hier.levels[g - 1]
+        x = exact - smoothing(op, a, hier.nu1) @ exact  # from the zero start
+        prolong = dense_kron(hier.transfers[g - 2])
+        x -= prolong @ cycle(g - 1, prolong.T @ (a @ x - rhs))
+        return exact + smoothing(op, a, hier.nu2) @ (x - exact)
 
     return cycle(hier.num_levels, np.asarray(b, dtype=np.float64))
 

@@ -18,16 +18,25 @@ from splinemg.analysis import (
     condition_summary,
     iteration_matrix,
     probe_inverse_preconditioner,
-    probe_preconditioned,
     spectral_radius,
     spectrum,
 )
-from splinemg.multigrid import gauss_seidel_sweep, preconditioner, scaled_upper_triangle
+from splinemg.multigrid import (
+    gauss_seidel_sweep,
+    preconditioner,
+    scaled_upper_triangle,
+    vcycle_smoother,
+)
 
 
 def sweep(a, alpha, b):
     """`gauss_seidel_sweep` on a dense matrix, with its scaled triangle."""
     gauss_seidel_sweep(*scaled_upper_triangle(scipy.sparse.csr_array(a)), alpha, b)
+
+
+def apply_columns(op):
+    """``op.apply`` of every unit vector, as the columns of a dense matrix."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.size)])
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +70,13 @@ class TestSpectrum:
 
 class TestProbe:
     def test_identity_preconditioner_probe_is_dense_operator(self, hier):
-        probe = probe_preconditioned(hier, "none")
+        probe = apply_columns(hier.finest)
         a = hier.finest.assemble_dense()
         # the probe sums the data term in point order, the assembly cell by cell
         npt.assert_allclose(probe, a, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max()))
 
     def test_probe_self_consistency(self, hier, rng):
-        probe = probe_preconditioned(hier, "mg-jacobi")
+        probe = probe_inverse_preconditioner(hier, "mg-jacobi") @ hier.finest.assemble_dense()
         k = hier.finest.size
         j = int(rng.integers(0, k))
         e = np.zeros(k)
@@ -76,8 +85,9 @@ class TestProbe:
         npt.assert_allclose(probe[:, j], direct, atol=1e-12 * max(1.0, np.abs(direct).max()))
 
     def test_jacobi_probe_eigenvalues_clustered(self, hier):
-        probe = probe_preconditioned(hier, "mg-jacobi")
-        rep = spectrum(probe, similarity=hier.finest.assemble_dense())
+        a = hier.finest.assemble_dense()
+        probe = probe_inverse_preconditioner(hier, "mg-jacobi") @ a
+        rep = spectrum(probe, similarity=a)
         assert rep.eigenvalues.min() > 0.0
         assert rep.eigenvalues.max() < 2.0
         assert np.median(np.abs(rep.eigenvalues - 1.0)) < 0.5
@@ -85,7 +95,7 @@ class TestProbe:
     def test_capacity_guard(self, small_dataset_2d):
         big = build_hierarchy(small_dataset_2d, 4, 1.0, dense_cap=100)
         with pytest.raises(CapacityError):
-            probe_preconditioned(big)
+            probe_inverse_preconditioner(big)
 
 
 class TestConditionImprovement:
@@ -104,7 +114,7 @@ class TestConditionImprovement:
         assert reports["plain"].eigenvalues.min() > 0.0
 
     def test_identity_probe_spectrum_equals_dense_spectrum(self, hier):
-        probe = probe_preconditioned(hier, "none")
+        probe = apply_columns(hier.finest)
         a = hier.finest.assemble_dense()
         npt.assert_allclose(
             spectrum(probe).eigenvalues,
@@ -116,12 +126,12 @@ class TestConditionImprovement:
 
 class TestIterationMatrix:
     @pytest.mark.parametrize("smoother", ["jacobi", "ssor"])
-    def test_matches_preconditioner_probe(self, hier, smoother):
-        c = iteration_matrix(hier, name=f"mg-{smoother}")
-        minv = probe_inverse_preconditioner(hier, f"mg-{smoother}")
-        a = hier.finest.assemble_dense()
-        ref = np.eye(hier.finest.size) - minv @ a
-        assert np.abs(c - ref).max() <= 1e-8
+    def test_matches_preconditioner_probe(self, hier, smoother, rng):
+        # one cycle from e with a zero right-hand side maps the error e to E e
+        name = f"mg-{smoother}"
+        e = rng.standard_normal(hier.finest.size)
+        cycled = v_cycle(hier, e, np.zeros(e.size), smoother=vcycle_smoother(hier, name)[0])
+        assert np.abs(cycled - iteration_matrix(hier, name) @ e).max() <= 1e-8
 
     def test_contraction_at_default_parameters(self, small_dataset_1d, small_dataset_2d):
         for data in (small_dataset_1d, small_dataset_2d):
@@ -179,7 +189,7 @@ class TestSsorReference:
         hier0 = build_hierarchy(small_dataset_2d, 3, 1.0, nu1=0, nu2=0)
         b = rng.standard_normal(hier0.finest.size)
         jacobi_result = v_cycle(hier0, None, b)
-        ssor_result = preconditioner(hier0, "mg-ssor")[0](b)
+        ssor_result = v_cycle(hier0, None, b, smoother=vcycle_smoother(hier0, "mg-ssor")[0])
         npt.assert_allclose(jacobi_result, ssor_result, atol=1e-12 * max(1.0, np.abs(b).max()))
 
     def test_sweep_matches_gauss_seidel_loop(self, rng):

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinemg import cli
+from splinemg import analysis, cli
 
 
 def run(argv):
@@ -352,6 +352,24 @@ class TestFit:
         assert code == cli.EXIT_CONFIG
         assert "needs nu1 + nu2 > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "analyze"])
+    @pytest.mark.parametrize("nu1,nu2", [(2, 0), (1, 3)])
+    def test_unequal_sweeps_exit_code(self, tmp_path, capsys, command, nu1, nu2):
+        out = tmp_path / "u"
+        code = run([command, *BASE_FIT[:-2], "--nu1", nu1, "--nu2", nu2, "--output", out])
+        assert code == cli.EXIT_CONFIG
+        assert f"nu1={nu1} and nu2={nu2}: CG needs a nonsingular, symmetric" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_plain_cg_reads_no_sweep_count(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out, nu2 in zip(outs, (0, 2)):
+            assert run(["fit", *BASE_FIT, "--precond", "none", "--max-iter", 1000,
+                        "--nu1", 2, "--nu2", nu2, "--output", out]) == cli.EXIT_OK
+        assert (outs[0] / "coefficients.txt").read_bytes() == (
+            outs[1] / "coefficients.txt").read_bytes()
+
     def test_config_exit_code(self, tmp_path):
         code = run(["fit", *BASE_FIT[:-4], "--lambda", "-1", "--output", tmp_path / "c"])
         assert code == cli.EXIT_CONFIG
@@ -536,6 +554,16 @@ class TestAnalyze:
         assert payload["spectral_radius"] < 1.0
         assert "mg-jacobi" in payload["operators"]
 
+    def test_radius_is_the_propagator_radius(self, tmp_path):
+        # read from the mg-jacobi spectrum: I - M^-1 A has the eigenvalues 1 - eig(M^-1 A)
+        out = tmp_path / "a.json"
+        flags = ["--dim", "2", "--levels", "3", "--n", "300", "--seed", "2"]
+        assert run(["analyze", *flags, "--output", out]) == 0
+        cfg = cli._config_from_args(cli.build_parser().parse_args(["analyze", *flags]))
+        hier = cfg.hierarchy(cli._load_points(cfg)[0])
+        rho = analysis.spectral_radius(analysis.iteration_matrix(hier))
+        assert json.loads(out.read_text())["spectral_radius"] == pytest.approx(rho, rel=1e-10)
+
 
 class TestBench:
     def test_emits_iterations_table(self, tmp_path, capsys):
@@ -557,6 +585,14 @@ class TestBench:
                     "--precond", "none", "--output", out])
         assert code == cli.EXIT_CONFIG
         assert "choose mg-jacobi or mg-ssor" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unequal_sweeps_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "bench.tsv"
+        code = run(["bench", "--dim", 1, "--n", 500, "--g-min", 2, "--g-max", 3,
+                    "--nu1", 2, "--nu2", 0, "--output", out])
+        assert code == cli.EXIT_CONFIG
+        assert "nu1=2 and nu2=0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unconverged_solves_exit_code(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -104,6 +105,17 @@ class TestBuildHierarchy:
             build_hierarchy(small_dataset_2d, 2, 1.0, nu1=-1)
         with pytest.raises(TypeError):  # the Jacobi damping setting is gone
             build_hierarchy(small_dataset_2d, 2, 1.0, omega=0.8)
+
+    @pytest.mark.parametrize("counts", [{"nu1": 1.7}, {"nu2": True}, {"nu1": 2.0},
+                                        {"nu2": "2"}, {"nu1": np.float64(1.0)}])
+    def test_sweep_counts_are_integers(self, small_dataset_2d, counts):
+        # int() would truncate 1.7 and turn True into 1 without a word
+        label, value = next(iter(counts.items()))
+        with pytest.raises(ParameterError, match=re.escape(f"{label} must be a non-negative "
+                                                           f"integer sweep count, got {value!r}")):
+            build_hierarchy(small_dataset_2d, 2, 1.0, **counts)
+        hier = build_hierarchy(small_dataset_2d, 2, 1.0, nu1=np.int64(3), nu2=3)
+        assert (hier.nu1, hier.nu2) == (3, 3)
 
 
 def chebyshev_factor(steps, upper, ratio, eigenvalues):
@@ -344,6 +356,17 @@ class TestVCycle:
             x = v_cycle(hier_2d, x, b)
             errs.append(np.linalg.norm(x - x_star))
         assert errs[-1] < 1e-2 * errs[0]
+
+    def test_unequal_sweeps_run_as_a_stationary_iteration(self, small_dataset_2d):
+        # (2, 0) is refused as a preconditioner, not as an iteration
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0, nu1=2, nu2=0)
+        op = hier.finest
+        b = op.rhs()
+        x_star = np.linalg.solve(op.assemble_dense(), b)
+        x = np.zeros(op.size)
+        for _ in range(8):
+            x = v_cycle(hier, x, b)
+        assert np.linalg.norm(x - x_star) < 1e-2 * np.linalg.norm(x_star)
 
     def test_shape_error(self, hier_2d):
         with pytest.raises(ShapeError):

@@ -1,4 +1,5 @@
-"""Property tests on clustered, boundary and degenerate data (P <= 2, G <= 3).
+"""Property tests on clustered, boundary and degenerate data (P <= 2, G <= 3),
+and on CLI input tables with a constant coordinate column (P <= 3).
 
 Every coordinate is an integer number of thousandths on the unit cube:
 grid points 1/8 apart (so ``x == upper`` and repeated points are common),
@@ -7,12 +8,18 @@ points on one line, long or a few thousandths short.  The dataset holds the near
 point set may be non-degenerate by rounding; the oracle below decides the
 rank of ``[1, X]`` exactly on the integer coordinates.
 """
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, event, given, strategies as st  # noqa: E402
 
+from splinemg import cli  # noqa: E402
 from splinemg import ParameterError, ScatteredDataset, SolverConfig, build_hierarchy, mgcg_solve  # noqa: E402
 
 UNIT = 1000  # coordinates are integers over UNIT
@@ -81,3 +88,32 @@ def test_identifiable_data_solve_to_finite_coefficients(case):
     # a query at the upper corner of the box, x == upper on every axis
     upper = data.bounds[:, 1][None, :]
     assert np.isfinite(hier.finest.predict(report.coefficients, upper)).all()
+
+
+@st.composite
+def constant_column_tables(draw):
+    """``(rows, num_levels)``: a CLI input table of ``P = 1..3`` coordinate
+    columns, at least one of them constant, and a response column."""
+    num_axes = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = np.column_stack([gen.random((n, num_axes)), gen.standard_normal(n)])
+    constant = draw(st.sets(st.integers(0, num_axes - 1), min_size=1))
+    for p in constant:
+        rows[:, p] = draw(st.floats(-1e3, 1e3, allow_nan=False))
+    event(f"P={num_axes}, {len(constant)} constant")
+    return rows, draw(st.integers(1, 3))
+
+
+@given(constant_column_tables())
+def test_constant_coordinate_column_is_refused_by_fit(case):
+    rows, levels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        table, out = os.path.join(tmp, "t.txt"), os.path.join(tmp, "fit")
+        np.savetxt(table, rows)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["fit", "--input", table, "--levels", str(levels), "--output", out])
+        assert code == cli.EXIT_CONFIG
+        assert "affine subspace" in err.getvalue()
+        assert not os.path.exists(out)

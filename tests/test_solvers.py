@@ -19,7 +19,7 @@ from splinemg.multigrid import preconditioner
 from splinemg.solvers import _pcg
 from splinemg.system import BandPattern, LevelOperator
 from splinemg.tensorops import stored_bytes
-from oracles import DenseOperator, dense_ssor_vcycle
+from oracles import DenseOperator, dense_jacobi_vcycle, dense_ssor_vcycle
 
 
 class TestSolverConfig:
@@ -164,6 +164,13 @@ class TestMgcg:
         exact = np.linalg.solve(hier.finest.assemble_dense(), hier.finest.rhs())
         assert np.linalg.norm(rep.coefficients - exact) <= 1e-8 * np.linalg.norm(exact)
 
+    def test_precond_mg_jacobi_is_dense_reference(self, small_dataset_2d, rng):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0)
+        r = rng.standard_normal(hier.finest.size)
+        z = preconditioner(hier, "mg-jacobi")[0](r)  # stores each level's spectral bound
+        ref = dense_jacobi_vcycle(hier, r)
+        npt.assert_allclose(z, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
     def test_precond_mg_ssor_memory_counts_csr_copies(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 3, 1.0)
         k = hier.finest.size
@@ -223,6 +230,19 @@ class TestMgcg:
         assert mgcg_solve(hier, cfg=SolverConfig(preconditioner="none")).label == "cg"
         # one level is solved directly, with no smoother to miss
         single = build_hierarchy(small_dataset_2d, 1, 1.0, nu1=0, nu2=0)
+        assert mgcg_solve(single, cfg=SolverConfig(preconditioner=name)).converged
+
+    @pytest.mark.parametrize("name", ["mg-jacobi", "mg-ssor"])
+    @pytest.mark.parametrize("nu1,nu2", [(2, 0), (0, 2), (1, 3)])
+    def test_unequal_sweeps_rejected(self, small_dataset_2d, name, nu1, nu2):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0, nu1=nu1, nu2=nu2)
+        with pytest.raises(ParameterError, match=f"nu1={nu1} and nu2={nu2}: CG needs a "
+                                                 "nonsingular, symmetric preconditioner"):
+            preconditioner(hier, name)
+        with pytest.raises(ParameterError, match="nu1 == nu2"):
+            mgcg_solve(hier, cfg=SolverConfig(preconditioner=name))
+        assert mgcg_solve(hier, cfg=SolverConfig(preconditioner="none")).label == "cg"
+        single = build_hierarchy(small_dataset_2d, 1, 1.0, nu1=nu1, nu2=nu2)
         assert mgcg_solve(single, cfg=SolverConfig(preconditioner=name)).converged
 
     def test_explicit_responses_override(self, small_dataset_2d):
