@@ -28,6 +28,7 @@ from .system import (
     PenaltyTerm,
     ScatteredDataset,
     build_level,
+    evaluate_spline,
     penalty_terms,
 )
 from .tensorops import (
@@ -67,6 +68,7 @@ __all__ = [
     "coarse_solve",
     "eval_basis",
     "eval_basis_batch",
+    "evaluate_spline",
     "generate_dataset",
     "gram_matrix",
     "greville_points",

@@ -28,6 +28,10 @@ class SpectrumReport:
     label: str = ""
 
 
+def _is_symmetric(matrix) -> bool:
+    return np.abs(matrix - matrix.T).max() <= 1e-10 * max(1.0, np.abs(matrix).max())
+
+
 def spectrum(matrix: np.ndarray, similarity: np.ndarray | None = None, label: str = "") -> SpectrumReport:
     """Eigenvalues and condition number of a symmetric or symmetrizable matrix.
 
@@ -39,7 +43,9 @@ def spectrum(matrix: np.ndarray, similarity: np.ndarray | None = None, label: st
     similarity : (K, K) array, optional
         SPD matrix ``S`` such that ``L' @ matrix @ L'^{-1}`` is symmetric for
         the Cholesky factor ``S = L L'``; the eigenvalues are computed from
-        that symmetric similar form.
+        that symmetric similar form.  A similar form that is not symmetric
+        to the relative tolerance of the direct symmetry test raises
+        `NumericError`.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if not np.isfinite(matrix).all():
@@ -48,8 +54,11 @@ def spectrum(matrix: np.ndarray, similarity: np.ndarray | None = None, label: st
         lt = np.linalg.cholesky(similarity).T
         inv_lt = scipy.linalg.solve_triangular(lt, np.eye(lt.shape[0]), lower=False)
         sym = lt @ matrix @ inv_lt
+        if not _is_symmetric(sym):
+            raise NumericError("matrix is not similar to a symmetric one through the "
+                               "given similarity: its eigenvalues may be complex")
         eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    elif np.abs(matrix - matrix.T).max() <= 1e-10 * max(1.0, np.abs(matrix).max()):
+    elif _is_symmetric(matrix):
         eigs = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
     else:
         ev = np.linalg.eigvals(matrix)

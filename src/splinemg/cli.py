@@ -56,8 +56,7 @@ from .errors import (
 )
 from .multigrid import PRECONDITIONERS, VCYCLE_SMOOTHERS, build_hierarchy
 from .solvers import SolverConfig, mgcg_solve
-from .system import DENSE_CAP, ScatteredDataset, design_factors, normalize_degrees
-from .tensorops import khatri_rao_tmatvec
+from .system import DENSE_CAP, ScatteredDataset, evaluate_spline, normalize_degrees
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -387,9 +386,7 @@ def _cmd_predict(args) -> int:
     inside = ((points >= lower) & (points <= upper)).all(axis=1)
     outside = points.shape[0] - int(inside.sum())
     values = np.full(points.shape[0], np.nan)
-    values[inside] = khatri_rao_tmatvec(
-        design_factors(spaces, points[inside] if outside else points), alpha
-    )
+    values[inside] = evaluate_spline(spaces, alpha, points[inside] if outside else points)
     if outside:
         print(f"{outside} point(s) outside the fitted box; their predictions are nan",
               file=sys.stderr)

@@ -5,10 +5,13 @@ column of a columnwise-Kronecker operator touches only a small window of
 positions per axis, and the kernels walk exactly those windows with
 vectorized numpy (fancy indexing + ``bincount``), in chunks of about
 ``CHUNK_ENTRIES`` window entries: a chunk holds ``CHUNK_ENTRIES // ncomb``
-points, so the scratch is the same at every dimension.  Every product with
-the design windows goes through `_window_weights`, which forms each point's
-weights as per-axis outer products of its window slices.  The kernels are
-sequential and bit-deterministic.  `cell_gram` assembles the data term of a
+points, so the scratch is the same at every dimension.  The training
+kernels (`scatter`, `scatter_squares`, `gram_matvec`, `cell_gram`) form each
+point's weights with `_window_weights`, as per-axis outer products of its
+window slices.  `gather`, which evaluates a spline at points, never forms
+them: it contracts each point's coefficient window with the per-axis values
+one axis at a time (sum factorization).  The kernels are sequential and
+bit-deterministic.  `cell_gram` assembles the data term of a
 level once, from points grouped by grid cell, into sparse storage; it is
 the only assembly of the data term (dense copies are made from its result).
 """
@@ -53,11 +56,21 @@ def scatter(vals, base, rel, digits, x, out):
     return out
 
 
-def gather(vals, base, rel, digits, y, out):
+def gather(values, base, rel, y, out):
+    """Per-point window sums ``out[i] = sum_j y[base[i] + rel[j]] * w_ij``.
+
+    ``values`` holds one ``(n, c_p)`` array (or view) per axis, and ``rel``
+    the ``prod(c_p)`` flat window offsets in C order.  The weights ``w_ij``
+    are the per-axis products of ``values``, but each chunk's gathered
+    ``(points, c_1, ..., c_P)`` windows are contracted with the values of
+    the last axis first, then the next, so no ``(points, prod(c_p))`` weight
+    array is formed.
+    """
     for lo, hi in _chunks(base.shape[0], rel.shape[0]):
-        w = _window_weights(vals, digits, lo, hi)
-        idx = base[lo:hi, None] + rel[None, :]
-        out[lo:hi] = (w * y[idx]).sum(axis=1)
+        t = y[base[lo:hi, None] + rel[None, :]]
+        for v in reversed(values):
+            t = np.einsum("mrc,mc->mr", t.reshape(hi - lo, -1, v.shape[1]), v[lo:hi])
+        out[lo:hi] = t[:, 0]
     return out
 
 

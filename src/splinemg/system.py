@@ -173,6 +173,37 @@ def design_factors(spaces, points) -> KhatriRaoFactors:
     )
 
 
+def evaluate_spline(spaces, alpha, points) -> np.ndarray:
+    """Values at ``points`` ``(n, P)`` of the tensor spline with coefficients
+    ``alpha`` on ``spaces``: the one evaluation of a fit at arbitrary points.
+
+    Each axis's basis is evaluated once at all points (`eval_basis_batch`),
+    and `kernels.gather` contracts every point's coefficient window with
+    those ``(n, degree + 1)`` arrays one axis at a time.  Only the flat
+    window base of each point is formed besides them: no `KhatriRaoFactors`,
+    no ``(n, P, degree + 1)`` copy of the values and no per-axis offsets.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[1] != len(spaces):
+        raise ShapeError(f"points must have {len(spaces)} columns")
+    alpha = np.ascontiguousarray(alpha, dtype=np.float64)
+    size = prod(s.dim for s in spaces)
+    if alpha.shape != (size,):
+        raise ShapeError(f"expected vector of length {size}, got {alpha.shape}")
+    base = np.zeros(points.shape[0], dtype=np.int64)
+    rel = np.zeros(1, dtype=np.int64)
+    values = [None] * len(spaces)
+    stride = 1
+    for p in range(len(spaces) - 1, -1, -1):
+        off, values[p] = eval_basis_batch(spaces[p], points[:, p], 0)
+        base += stride * off
+        rel = (stride * np.arange(values[p].shape[1])[:, None] + rel[None, :]).ravel()
+        stride *= spaces[p].dim
+    return kernels.gather(values, base, rel, alpha, np.empty(points.shape[0]))
+
+
 def level_spaces(dataset: ScatteredDataset, level: int, degrees) -> tuple:
     """The per-axis spline spaces of one grid level on the dataset's box."""
     return tuple(
@@ -348,13 +379,6 @@ class LevelOperator:
             raise ShapeError(f"expected vector of length {length}, got {v.shape}")
         return v
 
-    def _data_design(self) -> KhatriRaoFactors:
-        """Design windows at the training points (evaluated on demand for an
-        assembled level, which does not store them)."""
-        if self.matrix is None:
-            return self.design
-        return design_factors(self.spaces, self.dataset.points)
-
     def apply(self, alpha, out=None) -> np.ndarray:
         """Operator action ``(B'B + lam * R) alpha``."""
         alpha = self._check(alpha)
@@ -397,7 +421,10 @@ class LevelOperator:
         if y is None and self._rhs is not None:
             return self._rhs.copy()
         y = self.dataset.responses if y is None else self._check(y, self.dataset.n)
-        return khatri_rao_matvec(self._data_design(), y)
+        design = self.design
+        if self.matrix is not None:  # an assembled level stores no windows
+            design = design_factors(self.spaces, self.dataset.points)
+        return khatri_rao_matvec(design, y)
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of the operator, cached after the first call.
@@ -422,19 +449,17 @@ class LevelOperator:
     # -- evaluation and diagnostics -----------------------------------------
 
     def predict(self, alpha, points) -> np.ndarray:
-        """Evaluate the spline with coefficients ``alpha`` at new points."""
-        alpha = self._check(alpha)
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points[:, None]
-        if points.shape[1] != len(self.spaces):
-            raise ShapeError(f"points must have {len(self.spaces)} columns")
-        factors = design_factors(self.spaces, points)
-        return khatri_rao_tmatvec(factors, alpha)
+        """Evaluate the spline with coefficients ``alpha`` at new points
+        (`evaluate_spline` on this level's spaces)."""
+        return evaluate_spline(self.spaces, alpha, points)
 
     def fitted_values(self, alpha) -> np.ndarray:
-        """Spline values at the training points."""
-        return khatri_rao_tmatvec(self._data_design(), self._check(alpha))
+        """Spline values at the training points: a windows level gathers
+        from its stored windows, an assembled one evaluates the spline there
+        (`evaluate_spline`); both contract with `kernels.gather`."""
+        if self.matrix is None:
+            return khatri_rao_tmatvec(self.design, self._check(alpha))
+        return evaluate_spline(self.spaces, alpha, self.dataset.points)
 
     def objective(self, alpha, y=None):
         """Return ``(ls, roughness)``: squared misfit and penalty quadratic
@@ -464,8 +489,9 @@ class LevelOperator:
 
     def memory_bytes(self) -> int:
         """Bytes of the stored operator arrays: design windows, assembled
-        matrix (values and CSR indices) and kept ``B'y``, penalty factors,
-        cached float64 diagonal and index helpers."""
+        matrix (values and CSR indices) and kept ``B'y``, penalty factors
+        (each shared 1D Gram once), cached float64 diagonal and index
+        helpers."""
         f = self.design
         count = f.values.nbytes + f.offsets.nbytes + f.base.nbytes
         count += f.rel.nbytes + f.digits.nbytes
@@ -473,7 +499,8 @@ class LevelOperator:
             count += stored_bytes(self.matrix)
         if self._rhs is not None:
             count += self._rhs.nbytes
-        count += sum(stored_bytes(g) for t in self.penalty for g in t.factors)
+        factors = {id(g): g for t in self.penalty for g in t.factors}
+        count += sum(stored_bytes(g) for g in factors.values())
         count += 8 * self.size  # cached diagonal
         return int(count)
 

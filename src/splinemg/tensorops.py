@@ -191,6 +191,10 @@ class KhatriRaoFactors:
             offsets=offsets,
         )
 
+    def axis_windows(self) -> tuple:
+        """Per-axis window values, ``(n_cols, counts[p])`` views of ``values``."""
+        return tuple(self.values[:, p, :c] for p, c in enumerate(self.counts.tolist()))
+
     def toarray(self) -> np.ndarray:
         """Densify (small instances only: oracles and debugging)."""
         out = np.zeros((self.n_rows, self.n_cols))
@@ -215,7 +219,7 @@ def khatri_rao_tmatvec(factors: KhatriRaoFactors, y: np.ndarray) -> np.ndarray:
     if y.shape != (factors.n_rows,):
         raise ShapeError(f"expected vector of length {factors.n_rows}, got {y.shape}")
     out = np.empty(factors.n_cols)
-    kernels.gather(factors.values, factors.base, factors.rel, factors.digits, y, out)
+    kernels.gather(factors.axis_windows(), factors.base, factors.rel, y, out)
     return out
 
 

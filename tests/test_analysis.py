@@ -67,6 +67,15 @@ class TestSpectrum:
         with pytest.raises(NumericError):
             spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_similarity_route_refuses_a_nonsymmetric_similar_form(self):
+        # L' M L'^-1 is [[1, 2], [-2, 1]] @ diag(2, 1) with L' = diag(sqrt 2, 1):
+        # not symmetric, and M's eigenvalues are 1.5 +- 2.78i, not real
+        s = np.diag([2.0, 1.0])
+        m = np.array([[1.0, 2.0], [-2.0, 1.0]]) @ s
+        assert np.abs(np.linalg.eigvals(m).imag).max() > 2.7
+        with pytest.raises(NumericError, match="not similar to a symmetric"):
+            spectrum(m, similarity=s)
+
 
 class TestProbe:
     def test_identity_preconditioner_probe_is_dense_operator(self, hier):

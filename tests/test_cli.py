@@ -7,11 +7,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinemg import analysis, cli
+from splinemg import analysis, build_space, cli
+from oracles import dense_tensor_design
 
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def model_spaces(fit_dir):
+    """The spline spaces a fit directory's ``report.json`` records."""
+    report = json.loads((fit_dir / "report.json").read_text())
+    return [build_space(s["lower"], s["upper"], s["level"], s["degree"])
+            for s in report["spaces"]]
 
 
 # an empty file, comments only, and a header line with comments
@@ -446,6 +454,8 @@ class TestFit:
         assert grid.shape == (25, 3)
         corners = grid[:, :2]
         assert corners.min() == 0.0 and corners.max() == 1.0
+        ref = dense_tensor_design(model_spaces(out), corners) @ np.loadtxt(out / "coefficients.txt")
+        npt.assert_allclose(grid[:, 2], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 class TestPredict:
@@ -461,6 +471,23 @@ class TestPredict:
         npt.assert_array_equal(preds[:, :2], [[0.5, 0.5], [1.5, 0.5]])
         assert preds[0, 2] == np.loadtxt(tmp_path / "alone_pred.txt")[2]
         assert np.isnan(preds[1, 2])
+
+    def test_predictions_match_dense_design_outside_rows_nan(self, fit_dir, tmp_path, capsys):
+        queries = np.random.default_rng(7).random((60, 2))
+        rows = [3, 17, 40]
+        queries[rows] = [[1.2, 0.5], [0.5, -0.1], [2.0, 2.0]]
+        queries[5] = 1.0  # on both upper bounds
+        queries[6, 1] = 1.0
+        np.savetxt(tmp_path / "q.txt", queries, fmt="%.17g")
+        assert run(["predict", "--model", fit_dir, "--input", tmp_path / "q.txt",
+                    "--output", tmp_path / "p.txt"]) == cli.EXIT_OK
+        assert "3 point(s) outside the fitted box" in capsys.readouterr().err
+        preds = np.loadtxt(tmp_path / "p.txt")[:, 2]
+        outside = np.isin(np.arange(60), rows)
+        assert np.isnan(preds[outside]).all() and np.isfinite(preds[~outside]).all()
+        alpha = np.loadtxt(fit_dir / "coefficients.txt")
+        ref = dense_tensor_design(model_spaces(fit_dir), queries[~outside]) @ alpha
+        npt.assert_allclose(preds[~outside], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_query_at_training_maximum_is_finite_beyond_is_nan(self, tmp_path, capsys):
         gen = np.random.default_rng(11)

@@ -20,6 +20,7 @@ from splinemg import (
     build_space,
     coarse_solve,
     generate_dataset,
+    gram_matrix,
     jacobi_smooth,
     subdivision_matrix,
     transfer,
@@ -474,18 +475,24 @@ class TestAssembledLevels:
         assert all(np.abs(rp - cp).max() <= 3 for rp, cp in zip(r, c))
 
     def test_stores_no_windows_and_counts_csr(self):
-        data = make_dataset(2, 3000, seed=6)
-        hier = build_hierarchy(data, 5, 1.0)  # the finest level stays windows
-        for op in hier.levels[:-1]:
-            assert op.design.n_cols == 0 and op.design.values.size == 0
-            penalty = sum(stored_bytes(g) for t in op.penalty for g in t.factors)
-            helpers = op.design.rel.nbytes + op.design.digits.nbytes
-            assert op.memory_bytes() == stored_bytes(op.matrix) + penalty + helpers + 8 * op.size
-        finest = hier.finest
-        assert finest.storage == "windows" and finest.design.n_cols == data.n
-        transfers = sum(stored_bytes(f) for axis in hier.transfers for f in axis)
-        total = sum(op.memory_bytes() for op in hier.levels) + transfers + 8 * 25 * 25
-        assert hier.memory_bytes() == total == 8 * hier.memory_reals()
+        # at P=3 the six penalty terms hold 18 factors but share 9 Grams
+        for dim, levels in ((2, 5), (3, 3)):
+            data = make_dataset(dim, 3000, seed=6)
+            hier = build_hierarchy(data, levels, 1.0)  # the finest level stays windows
+            for op in hier.levels[:-1]:
+                assert op.design.n_cols == 0 and op.design.values.size == 0
+                # one Gram per axis and derivative order, however many terms share it
+                penalty = sum(stored_bytes(gram_matrix(s, r)) for s in op.spaces
+                              for r in (0, 1, 2))
+                helpers = op.design.rel.nbytes + op.design.digits.nbytes
+                assert op.memory_bytes() == (stored_bytes(op.matrix) + penalty + helpers
+                                             + 8 * op.size)
+            finest = hier.finest
+            assert finest.storage == "windows" and finest.design.n_cols == data.n
+            transfers = sum(stored_bytes(f) for axis in hier.transfers for f in axis)
+            coarse_factor = 8 * hier.level(1).size ** 2
+            total = sum(op.memory_bytes() for op in hier.levels) + transfers + coarse_factor
+            assert hier.memory_bytes() == total == 8 * hier.memory_reals()
 
     def test_refuses_a_finest_level_beyond_memory_before_building_it(self):
         # 2**40 + 3 coefficients need 72 bytes each for the solve vectors alone

@@ -23,8 +23,8 @@ from splinemg import (
     greville_points,
     penalty_terms,
 )
-from splinemg import kernels
-from splinemg.system import LevelOperator
+from splinemg import kernels, system
+from splinemg.system import LevelOperator, evaluate_spline
 from splinemg.tensorops import stored_bytes
 from conftest import make_dataset
 from oracles import dense_rhs, dense_system_matrix, dense_tensor_design
@@ -341,6 +341,68 @@ class TestObjectiveAndPredict:
         op = build_level(small_dataset_2d, 2, 1.0)
         with pytest.raises(DomainError):
             op.predict(np.ones(op.size), np.array([[0.5, 1.2]]))
+
+
+class TestEvaluateSpline:
+    """`evaluate_spline`, the one evaluation at arbitrary points, and the
+    sum-factorized `kernels.gather` it calls, against the dense design."""
+
+    @pytest.mark.parametrize("degrees, level", [
+        ((3,), 2), ((2, 4), 2), ((2, 3, 5), 1), ((3, 2, 4, 3), 1),
+    ])
+    def test_matches_dense_design(self, degrees, level, rng):
+        spaces = tuple(build_space(-1.0, 2.0, level, q) for q in degrees)
+        ncomb = int(np.prod([q + 1 for q in degrees]))
+        n = 3 * (kernels.CHUNK_ENTRIES // ncomb) + 5  # several gather chunks
+        points = -1.0 + 3.0 * rng.random((n, len(degrees)))
+        for p in range(len(degrees)):
+            points[p::5, p] = 2.0  # on each axis's upper bound
+        points[-1] = 2.0  # on every axis's upper bound at once
+        points[-2] = -1.0
+        alpha = rng.standard_normal(int(np.prod([s.dim for s in spaces])))
+        ref = dense_tensor_design(spaces, points) @ alpha
+        npt.assert_allclose(evaluate_spline(spaces, alpha, points), ref,
+                            rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("num_axes", [1, 3])
+    def test_zero_points(self, num_axes):
+        spaces = tuple(build_space(0.0, 1.0, 2, 3) for _ in range(num_axes))
+        alpha = np.ones(int(np.prod([s.dim for s in spaces])))
+        out = evaluate_spline(spaces, alpha, np.empty((0, num_axes)))
+        assert out.shape == (0,)
+        empty = kernels.gather([np.empty((0, 4))] * num_axes, np.empty(0, dtype=np.int64),
+                               np.arange(4**num_axes), alpha, np.empty(0))
+        assert empty.shape == (0,)
+
+    def test_assembled_level_evaluates_at_the_training_points(self, rng):
+        data = make_dataset(3, 400, seed=3)
+        windows = build_level(data, 2, 1.0)
+        alpha = rng.standard_normal(windows.size)
+        ref = dense_tensor_design(windows.spaces, data.points) @ alpha
+        assembled = LevelOperator(data, 2, 1.0).assemble()
+        for op in (windows, assembled):
+            npt.assert_allclose(op.fitted_values(alpha), ref, rtol=1e-12,
+                                atol=1e-12 * np.abs(ref).max())
+
+    def test_builds_no_window_factors_for_the_queries(self, small_dataset_2d, monkeypatch, rng):
+        op = LevelOperator(small_dataset_2d, 3, 1.0).assemble()
+        alpha = rng.standard_normal(op.size)
+        expected = dense_tensor_design(op.spaces, small_dataset_2d.points) @ alpha
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("design windows formed for an evaluation")
+
+        monkeypatch.setattr(system, "design_factors", refuse)
+        monkeypatch.setattr(system, "KhatriRaoFactors", refuse)
+        for values in (op.predict(alpha, small_dataset_2d.points), op.fitted_values(alpha)):
+            npt.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+
+    def test_rejects_bad_shapes(self):
+        spaces = (build_space(0.0, 1.0, 2, 3),) * 2
+        with pytest.raises(ShapeError, match="2 columns"):
+            evaluate_spline(spaces, np.ones(49), np.zeros((3, 3)))
+        with pytest.raises(ShapeError, match="length 49"):
+            evaluate_spline(spaces, np.ones(48), np.zeros((3, 2)))
 
 
 def test_level_operator_rejects_degree_mismatch(small_dataset_2d):

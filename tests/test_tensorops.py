@@ -340,7 +340,8 @@ class TestKernels:
         if name == "scatter":
             out, ref = kernels.scatter(*args, x_cols, np.zeros(f.n_rows)), dense @ x_cols
         elif name == "gather":
-            out, ref = kernels.gather(*args, x_rows, np.empty(f.n_cols)), dense.T @ x_rows
+            out = kernels.gather(f.axis_windows(), f.base, f.rel, x_rows, np.empty(f.n_cols))
+            ref = dense.T @ x_rows
         elif name == "scatter_squares":
             out, ref = kernels.scatter_squares(*args, np.zeros(f.n_rows)), (dense**2).sum(axis=1)
         else:
@@ -386,7 +387,8 @@ class TestWindowKernelsAcrossDimensions:
         args = (f.values, f.base, f.rel, f.digits)
         checks = {
             "scatter": (kernels.scatter(*args, x_cols, np.zeros(f.n_rows)), dense @ x_cols),
-            "gather": (kernels.gather(*args, x_rows, np.empty(n)), dense.T @ x_rows),
+            "gather": (kernels.gather(f.axis_windows(), f.base, f.rel, x_rows, np.empty(n)),
+                       dense.T @ x_rows),
             "scatter_squares": (kernels.scatter_squares(*args, np.zeros(f.n_rows)),
                                 (dense**2).sum(axis=1)),
             "gram_matvec": (kernels.gram_matvec(*args, x_rows, np.zeros(f.n_rows)),
