@@ -2,10 +2,8 @@
 B-spline smoothing of scattered multivariate data."""
 
 from .bsplines import (
-    BasisActivation,
     SplineSpace1D,
     build_space,
-    eval_basis,
     eval_basis_batch,
     gram_matrix,
     greville_points,
@@ -45,7 +43,6 @@ from .tensorops import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisActivation",
     "CapacityError",
     "DENSE_CAP",
     "DomainError",
@@ -66,7 +63,6 @@ __all__ = [
     "build_space",
     "cg_solve",
     "coarse_solve",
-    "eval_basis",
     "eval_basis_batch",
     "evaluate_spline",
     "generate_dataset",

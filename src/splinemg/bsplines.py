@@ -4,7 +4,8 @@ A 1D space of degree ``q`` at refinement level ``g`` lives on ``[a, b]`` with
 ``2**g - 1`` interior knots and a uniform (cardinal) extension of ``q`` extra
 knots beyond each end, so that every basis function is a translate of the
 cardinal B-spline and the dyadic two-scale relation holds exactly.  The module
-provides basis/derivative evaluation, Gram matrices of derivatives, and the
+provides basis/derivative evaluation (`eval_basis_batch`: window offsets and
+``(n, degree + 1)`` window values), Gram matrices of derivatives, and the
 refinement (subdivision) matrix between consecutive levels.  Both matrices
 are banded and are returned only as CSR matrices built straight from their
 bands, O(dim * degree) entries each, with the indices of `csr_index_dtype`.
@@ -17,7 +18,7 @@ from math import comb
 import numpy as np
 import scipy.sparse
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_integer
 
 MAX_DEGREE = 5
 
@@ -80,8 +81,8 @@ def build_space(lower: float, upper: float, level: int, degree: int = 3) -> Spli
     """
     if not np.isfinite(lower) or not np.isfinite(upper) or lower >= upper:
         raise ParameterError(f"invalid interval [{lower}, {upper}]")
-    if level < 1:
-        raise ParameterError(f"level must be >= 1, got {level}")
+    level = check_integer(level, "level must be an integer >= 1", 1)
+    degree = check_integer(degree, "degree must be an integer")
     if not 1 <= degree <= MAX_DEGREE:
         raise ParameterError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
     segments = 2**level
@@ -93,24 +94,12 @@ def build_space(lower: float, upper: float, level: int, degree: int = 3) -> Spli
         degree=degree,
         lower=float(lower),
         upper=float(upper),
-        level=int(level),
+        level=level,
         interior_knot_count=segments - 1,
         mesh_width=h,
         dim=dim,
         knots=knots,
     )
-
-
-@dataclass(frozen=True)
-class BasisActivation:
-    """The ``degree + 1`` basis (derivative) values active at one point.
-
-    ``values[k]`` is the value of basis function ``first_index + k``; all
-    other basis functions vanish at the point.
-    """
-
-    first_index: int
-    values: np.ndarray
 
 
 def _find_intervals(space: SplineSpace1D, x: np.ndarray) -> np.ndarray:
@@ -190,12 +179,6 @@ def eval_basis_batch(space: SplineSpace1D, x: np.ndarray, deriv: int = 0):
         values = new
 
     return t, values
-
-
-def eval_basis(space: SplineSpace1D, x: float, deriv: int = 0) -> BasisActivation:
-    """Evaluate the ``degree + 1`` active basis functions at a single point."""
-    offsets, values = eval_basis_batch(space, np.array([x], dtype=np.float64), deriv)
-    return BasisActivation(first_index=int(offsets[0]), values=values[0])
 
 
 def gram_matrix(space: SplineSpace1D, deriv: int) -> scipy.sparse.csr_array:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+import numpy as np
 
 
 class SplinemgError(Exception):
@@ -27,3 +29,13 @@ class NumericError(SplinemgError, RuntimeError):
     def __init__(self, message, iteration=None):
         super().__init__(message)
         self.iteration = iteration
+
+
+def check_integer(value, message, minimum=None) -> int:
+    """``value`` as an ``int``; `ParameterError` ``"{message}, got {value!r}"``
+    unless it is an integer or a numpy integer (never a ``bool``, never
+    truncated) of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (minimum is not None and value < minimum)):
+        raise ParameterError(f"{message}, got {value!r}")
+    return int(value)

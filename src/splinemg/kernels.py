@@ -5,15 +5,18 @@ column of a columnwise-Kronecker operator touches only a small window of
 positions per axis, and the kernels walk exactly those windows with
 vectorized numpy (fancy indexing + ``bincount``), in chunks of about
 ``CHUNK_ENTRIES`` window entries: a chunk holds ``CHUNK_ENTRIES // ncomb``
-points, so the scratch is the same at every dimension.  The training
-kernels (`scatter`, `scatter_squares`, `gram_matvec`, `cell_gram`) form each
-point's weights with `_window_weights`, as per-axis outer products of its
-window slices.  `gather`, which evaluates a spline at points, never forms
-them: it contracts each point's coefficient window with the per-axis values
-one axis at a time (sum factorization).  The kernels are sequential and
-bit-deterministic.  `cell_gram` assembles the data term of a
-level once, from points grouped by grid cell, into sparse storage; it is
-the only assembly of the data term (dense copies are made from its result).
+points, so the scratch is the same at every dimension.  Every kernel takes
+the windows as ``values``, one ``(n, c_p)`` array (or view) per axis, with
+flat window bases ``base`` and the ``prod(c_p)`` flat offsets ``rel`` in C
+order.  The training kernels (`scatter`, `scatter_squares`, `gram_matvec`,
+`cell_gram`) form each point's weights with `_window_weights`, as per-axis
+outer products of its window values.  `gather`, which evaluates a spline at
+points, never forms them: it contracts each point's coefficient window with
+the per-axis values one axis at a time (sum factorization).  The kernels
+are sequential and bit-deterministic.  `cell_gram` assembles the data term
+of a level once, from points grouped by grid cell, into sparse storage; it
+is the only assembly of the data term (dense copies are made from its
+result).
 """
 from __future__ import annotations
 
@@ -25,18 +28,16 @@ import numpy as np
 CHUNK_ENTRIES = 32768
 
 
-def _window_weights(vals, digits, lo, hi):
-    """Combined per-column window weights for points lo:hi, shape (hi-lo, ncomb).
+def _window_weights(values, lo, hi):
+    """Combined window weights of points lo:hi, shape ``(hi - lo, prod(c_p))``.
 
-    Per-axis outer products of the window slices, in the C order of
-    ``digits``: the same products in the same order as
-    ``prod_p vals[:, p, digits[:, p]]``.  At P=1 the result is a view of
-    ``vals``; callers must not write into it.
+    Per-axis outer products of the window values, in the C order of ``rel``.
+    At P=1 the result is a view of ``values[0]``; callers must not write
+    into it.
     """
-    counts = digits[-1] + 1
-    w = vals[lo:hi, 0, : counts[0]]
-    for p in range(1, digits.shape[1]):
-        w = (w[:, :, None] * vals[lo:hi, p, None, : counts[p]]).reshape(hi - lo, -1)
+    w = values[0][lo:hi]
+    for v in values[1:]:
+        w = (w[:, :, None] * v[lo:hi, None, :]).reshape(hi - lo, -1)
     return w
 
 
@@ -46,9 +47,9 @@ def _chunks(n, ncomb):
         yield lo, min(lo + step, n)
 
 
-def scatter(vals, base, rel, digits, x, out):
+def scatter(values, base, rel, x, out):
     for lo, hi in _chunks(base.shape[0], rel.shape[0]):
-        w = _window_weights(vals, digits, lo, hi)
+        w = _window_weights(values, lo, hi)
         idx = base[lo:hi, None] + rel[None, :]
         out += np.bincount(
             idx.ravel(), weights=(x[lo:hi, None] * w).ravel(), minlength=out.shape[0]
@@ -59,9 +60,8 @@ def scatter(vals, base, rel, digits, x, out):
 def gather(values, base, rel, y, out):
     """Per-point window sums ``out[i] = sum_j y[base[i] + rel[j]] * w_ij``.
 
-    ``values`` holds one ``(n, c_p)`` array (or view) per axis, and ``rel``
-    the ``prod(c_p)`` flat window offsets in C order.  The weights ``w_ij``
-    are the per-axis products of ``values``, but each chunk's gathered
+    The weights ``w_ij`` are the per-axis products of ``values`` (those of
+    `_window_weights`), but each chunk's gathered
     ``(points, c_1, ..., c_P)`` windows are contracted with the values of
     the last axis first, then the next, so no ``(points, prod(c_p))`` weight
     array is formed.
@@ -74,25 +74,25 @@ def gather(values, base, rel, y, out):
     return out
 
 
-def scatter_squares(vals, base, rel, digits, out):
+def scatter_squares(values, base, rel, out):
     for lo, hi in _chunks(base.shape[0], rel.shape[0]):
-        w = _window_weights(vals, digits, lo, hi)
+        w = _window_weights(values, lo, hi)
         idx = base[lo:hi, None] + rel[None, :]
         out += np.bincount(idx.ravel(), weights=(w * w).ravel(), minlength=out.shape[0])
     return out
 
 
-def gram_matvec(vals, base, rel, digits, x, out):
+def gram_matvec(values, base, rel, x, out):
     # Fused gather-then-scatter: out += A (A' x) without an n-length buffer.
     for lo, hi in _chunks(base.shape[0], rel.shape[0]):
-        w = _window_weights(vals, digits, lo, hi)
+        w = _window_weights(values, lo, hi)
         idx = base[lo:hi, None] + rel[None, :]
         s = (w * x[idx]).sum(axis=1)
         out += np.bincount(idx.ravel(), weights=(s[:, None] * w).ravel(), minlength=out.shape[0])
     return out
 
 
-def cell_gram(vals, base, digits, locate, out):
+def cell_gram(values, base, locate, out):
     """Add ``A A'`` into the stored entries ``out`` of a sparse matrix, one
     grid cell at a time.
 
@@ -106,14 +106,14 @@ def cell_gram(vals, base, digits, locate, out):
     ``CHUNK_ENTRIES * 64`` numbers; a cell cut by a chunk border adds two
     partial blocks.
     """
-    ncomb = digits.shape[0]
+    ncomb = int(np.prod([v.shape[1] for v in values]))
     step = max(1, CHUNK_ENTRIES * 64 // ncomb**2)
     order = np.argsort(base, kind="stable")
     cells = base[order]
     block = np.empty((ncomb, ncomb))
     for lo in range(0, base.shape[0], step):
         hi = min(lo + step, base.shape[0])
-        w = _window_weights(vals[order[lo:hi]], digits, 0, hi - lo)
+        w = _window_weights([v[order[lo:hi]] for v in values], 0, hi - lo)
         starts = np.flatnonzero(np.diff(cells[lo:hi], prepend=-1))
         ends = np.append(starts[1:], hi - lo)
         pos = locate(cells[lo + starts])

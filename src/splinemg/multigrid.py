@@ -38,7 +38,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .bsplines import subdivision_matrix
-from .errors import CapacityError, NumericError, ParameterError, ShapeError
+from .errors import CapacityError, NumericError, ParameterError, ShapeError, check_integer
 from .system import (
     DENSE_CAP,
     BandPattern,
@@ -224,12 +224,9 @@ def build_hierarchy(
     level whose solve vectors alone exceed physical memory raises
     `CapacityError`.
     """
-    if num_levels < 1:
-        raise ParameterError(f"need at least one level, got {num_levels}")
+    num_levels = check_integer(num_levels, "need an integer number of levels >= 1", 1)
     for label, count in (("nu1", nu1), ("nu2", nu2)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-            raise ParameterError(f"{label} must be a non-negative integer sweep count, "
-                                 f"got {count!r}")
+        check_integer(count, f"{label} must be a non-negative integer sweep count", 0)
     degrees = normalize_degrees(degrees, dataset.num_axes)
     _check_solve_memory(num_levels, degrees)
     _check_identifiable(dataset)

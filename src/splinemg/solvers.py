@@ -15,7 +15,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, check_integer
 from .multigrid import PRECONDITIONERS, Hierarchy, preconditioner
 from .system import LevelOperator
 
@@ -41,8 +41,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tolerance < 1.0:
             raise ParameterError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ParameterError("max_iterations must be >= 1")
+        if self.max_iterations is not None:
+            check_integer(self.max_iterations, "max_iterations must be an integer >= 1", 1)
         if self.preconditioner not in PRECONDITIONERS:
             raise ParameterError(
                 f"unknown preconditioner {self.preconditioner!r}; expected one of {PRECONDITIONERS}"

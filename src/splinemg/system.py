@@ -31,7 +31,7 @@ import scipy.sparse
 
 from . import kernels
 from .bsplines import MAX_DEGREE, build_space, csr_index_dtype, eval_basis_batch, gram_matrix
-from .errors import CapacityError, DomainError, ParameterError, ShapeError
+from .errors import CapacityError, DomainError, ParameterError, ShapeError, check_integer
 from .tensorops import (
     KhatriRaoFactors,
     khatri_rao_gram_diag,
@@ -56,7 +56,8 @@ class ScatteredDataset:
         Covariates; every coordinate must lie inside its axis interval.
     responses : (n,) array
     bounds : (P, 2) array
-        Per-axis domain intervals; defaults to the unit cube.
+        Per-axis domain intervals, finite with ``lower < upper``; defaults to
+        the unit cube.
     """
 
     points: np.ndarray
@@ -79,6 +80,10 @@ class ScatteredDataset:
         bounds = np.ascontiguousarray(bounds, dtype=np.float64).reshape(-1, 2)
         if bounds.shape[0] != points.shape[1]:
             raise ShapeError("bounds must provide one interval per covariate axis")
+        bad = np.flatnonzero(~(np.isfinite(bounds).all(axis=1) & (bounds[:, 0] < bounds[:, 1])))
+        if bad.size:
+            raise ParameterError(f"axis {bad[0]} bounds {bounds[bad[0]].tolist()} must be "
+                                 "finite with lower < upper")
         if not np.isfinite(points).all() or not np.isfinite(responses).all():
             raise ParameterError("dataset contains non-finite values")
         outside = (points < bounds[:, 0]) | (points > bounds[:, 1])
@@ -142,9 +147,8 @@ def penalty_terms(spaces) -> list[PenaltyTerm]:
 def normalize_degrees(degrees, num_axes) -> tuple:
     """Per-axis spline degrees, each in ``2..MAX_DEGREE``."""
     if np.isscalar(degrees):
-        degrees = (int(degrees),) * num_axes
-    else:
-        degrees = tuple(int(q) for q in degrees)
+        degrees = (degrees,) * num_axes
+    degrees = tuple(check_integer(q, "degree must be an integer") for q in degrees)
     if len(degrees) != num_axes:
         raise ParameterError(f"need {num_axes} degrees, got {len(degrees)}")
     if min(degrees) < 2 or max(degrees) > MAX_DEGREE:
@@ -308,7 +312,7 @@ class LevelOperator:
             raise ParameterError(f"smoothing parameter must be finite and positive, got {lam}")
         self.degrees = normalize_degrees(degrees, dataset.num_axes)
         self.dataset = dataset
-        self.level = int(level)
+        self.level = check_integer(level, "level must be an integer")
         self.lam = float(lam)
         self.spaces = level_spaces(dataset, level, self.degrees)
         self.dims = tuple(s.dim for s in self.spaces)
@@ -362,7 +366,7 @@ class LevelOperator:
             return pattern.positions(rows, rows.transpose(0, 2, 1))
 
         data = np.zeros(pattern.nnz)
-        kernels.cell_gram(f.values, f.base, f.digits, locate, data)
+        kernels.cell_gram(f.axis_windows(), f.base, locate, data)
         kron_terms = []
         for term in self.penalty:
             axes = [pattern.axis_band(g, p) for p, g in enumerate(term.factors)]

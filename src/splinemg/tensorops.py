@@ -4,6 +4,8 @@ Linearization convention (shared by every module and asserted in tests):
 axis 1 is the slowest-varying index, i.e. a coefficient tensor of shape
 ``(n_1, ..., n_P)`` is flattened in C order, and the factor list
 ``[A_1, ..., A_P]`` of a Kronecker product is ordered accordingly.
+`KhatriRaoFactors` hands the window kernels its per-axis value views
+(`KhatriRaoFactors.axis_windows`) with flat bases and window offsets.
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ import scipy.sparse
 
 from . import kernels
 from .errors import ShapeError
-
-LINEARIZATION = "first-factor-slowest"  # C-order flattening
 
 
 def _as_matrix(a):
@@ -105,9 +105,9 @@ class KhatriRaoFactors:
     ``values[i, p, :counts[p]]``); rows outside the window are zero.  Dense
     factors are the special case of full-height windows.
 
-    Precomputed index helpers: ``strides`` (row stride per axis), ``base``
-    (flat row of each column's first window entry), and the window odometer
-    ``digits``/``rel`` enumerating the ``prod(counts)`` window positions.
+    Precomputed index helpers: ``base`` (flat row of each column's first
+    window entry), and the window odometer ``digits``/``rel`` enumerating
+    the ``prod(counts)`` window positions.
     """
 
     row_dims: tuple
@@ -115,7 +115,6 @@ class KhatriRaoFactors:
     counts: np.ndarray
     values: np.ndarray   # (n_cols, P, max(counts)) float64
     offsets: np.ndarray  # (n_cols, P) int64
-    strides: np.ndarray = field(init=False)
     base: np.ndarray = field(init=False)
     digits: np.ndarray = field(init=False)
     rel: np.ndarray = field(init=False)
@@ -125,7 +124,6 @@ class KhatriRaoFactors:
         strides = np.ones(len(dims), dtype=np.int64)
         for p in range(len(dims) - 2, -1, -1):
             strides[p] = strides[p + 1] * dims[p + 1]
-        self.strides = strides
         self.base = self.offsets @ strides
         ncomb = int(np.prod(self.counts))
         self.digits = np.stack(
@@ -136,10 +134,6 @@ class KhatriRaoFactors:
     @property
     def n_rows(self) -> int:
         return int(np.prod(self.row_dims))
-
-    @property
-    def num_axes(self) -> int:
-        return len(self.row_dims)
 
     @classmethod
     def from_dense(cls, factors) -> "KhatriRaoFactors":
@@ -198,7 +192,7 @@ class KhatriRaoFactors:
     def toarray(self) -> np.ndarray:
         """Densify (small instances only: oracles and debugging)."""
         out = np.zeros((self.n_rows, self.n_cols))
-        w = kernels._window_weights(self.values, self.digits, 0, self.n_cols)
+        w = kernels._window_weights(self.axis_windows(), 0, self.n_cols)
         out[self.base[:, None] + self.rel[None, :], np.arange(self.n_cols)[:, None]] = w
         return out
 
@@ -209,7 +203,7 @@ def khatri_rao_matvec(factors: KhatriRaoFactors, x: np.ndarray) -> np.ndarray:
     if x.shape != (factors.n_cols,):
         raise ShapeError(f"expected vector of length {factors.n_cols}, got {x.shape}")
     out = np.zeros(factors.n_rows)
-    kernels.scatter(factors.values, factors.base, factors.rel, factors.digits, x, out)
+    kernels.scatter(factors.axis_windows(), factors.base, factors.rel, x, out)
     return out
 
 
@@ -226,7 +220,7 @@ def khatri_rao_tmatvec(factors: KhatriRaoFactors, y: np.ndarray) -> np.ndarray:
 def khatri_rao_gram_diag(factors: KhatriRaoFactors) -> np.ndarray:
     """Diagonal of ``A A'``: squared row norms accumulated column by column."""
     out = np.zeros(factors.n_rows)
-    kernels.scatter_squares(factors.values, factors.base, factors.rel, factors.digits, out)
+    kernels.scatter_squares(factors.axis_windows(), factors.base, factors.rel, out)
     return out
 
 
@@ -240,5 +234,5 @@ def khatri_rao_gram_matvec(
         raise ShapeError(f"expected vector of length {factors.n_rows}, got {x.shape}")
     if out is None:
         out = np.zeros(factors.n_rows)
-    kernels.gram_matvec(factors.values, factors.base, factors.rel, factors.digits, x, out)
+    kernels.gram_matvec(factors.axis_windows(), factors.base, factors.rel, x, out)
     return out

@@ -12,7 +12,6 @@ from splinemg import (
     DomainError,
     ParameterError,
     build_space,
-    eval_basis,
     eval_basis_batch,
     gram_matrix,
     greville_points,
@@ -45,11 +44,19 @@ class TestBuildSpace:
         assert sp.dim == 2**3 + 4
 
     @pytest.mark.parametrize(
-        "args", [(1.0, 0.0, 2, 3), (0.0, 1.0, 0, 3), (0.0, 1.0, 2, 0), (0.0, 1.0, 2, 6)]
+        "args", [(1.0, 0.0, 2, 3), (0.0, 1.0, 0, 3), (0.0, 1.0, 2, 0), (0.0, 1.0, 2, 6),
+                 # non-integers, which int() would truncate or turn into 1
+                 (0.0, 1.0, 2.5, 3), (0.0, 1.0, True, 3), (0.0, 1.0, "3", 3),
+                 (0.0, 1.0, 3, 2.5), (0.0, 1.0, 3, True), (0.0, 1.0, 3, np.float64(3.0))]
     )
     def test_rejects_bad_parameters(self, args):
         with pytest.raises(ParameterError):
             build_space(*args)
+
+    def test_accepts_numpy_integers(self):
+        sp = build_space(0.0, 1.0, np.int64(3), np.int32(3))
+        assert (sp.level, sp.degree, sp.dim) == (3, 3, 11)
+        assert type(sp.level) is int and type(sp.degree) is int
 
 
 class TestEvalBasis:
@@ -57,21 +64,21 @@ class TestEvalBasis:
     @settings(max_examples=60, deadline=None)
     def test_partition_of_unity(self, x, degree):
         sp = build_space(0.0, 1.0, 3, degree)
-        act = eval_basis(sp, x, 0)
-        assert act.values.shape == (degree + 1,)
-        assert act.values.min() >= -1e-15
-        assert abs(act.values.sum() - 1.0) <= 1e-12
+        _, values = eval_basis_batch(sp, [x], 0)
+        assert values.shape == (1, degree + 1)
+        assert values.min() >= -1e-15
+        assert abs(values.sum() - 1.0) <= 1e-12
 
     def test_hat_function_at_interior_knot(self):
         sp = build_space(0.0, 1.0, 2, 1)
-        act = eval_basis(sp, 0.5, 0)
-        assert sorted(np.round(act.values, 12)) == [0.0, 1.0]
+        _, values = eval_basis_batch(sp, [0.5], 0)
+        assert sorted(np.round(values[0], 12)) == [0.0, 1.0]
 
     def test_cardinal_cubic_values_at_knot(self):
         # Cardinal cubic B-spline takes 1/6, 4/6, 1/6 at its interior knots.
         sp = build_space(0.0, 1.0, 3, 3)
-        act = eval_basis(sp, 0.5, 0)
-        npt.assert_allclose(np.sort(act.values), [0.0, 1 / 6, 1 / 6, 4 / 6], atol=1e-14)
+        _, values = eval_basis_batch(sp, [0.5], 0)
+        npt.assert_allclose(np.sort(values[0]), [0.0, 1 / 6, 1 / 6, 4 / 6], atol=1e-14)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_matches_scipy_all_derivative_orders(self, degree, rng):
@@ -98,21 +105,21 @@ class TestEvalBasis:
 
     def test_right_endpoint_belongs_to_last_interval(self):
         sp = build_space(0.0, 1.0, 2, 3)
-        act = eval_basis(sp, 1.0, 0)
-        assert act.first_index == sp.dim - sp.degree - 1
-        assert act.values.sum() == pytest.approx(1.0)
+        offsets, values = eval_basis_batch(sp, [1.0], 0)
+        assert offsets[0] == sp.dim - sp.degree - 1
+        assert values.sum() == pytest.approx(1.0)
 
     def test_rejects_out_of_domain(self):
         sp = build_space(0.0, 1.0, 2, 3)
         with pytest.raises(DomainError):
-            eval_basis(sp, 1.0 + 1e-9, 0)
+            eval_basis_batch(sp, [1.0 + 1e-9], 0)
         with pytest.raises(DomainError):
-            eval_basis(sp, -0.1, 0)
+            eval_basis_batch(sp, [-0.1], 0)
 
     def test_rejects_bad_derivative_order(self):
         sp = build_space(0.0, 1.0, 2, 3)
         with pytest.raises(ParameterError):
-            eval_basis(sp, 0.5, 4)
+            eval_basis_batch(sp, [0.5], 4)
 
 
 class TestGramMatrix:

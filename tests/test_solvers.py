@@ -34,6 +34,9 @@ class TestSolverConfig:
         {"tolerance": 1.5},
         {"max_iterations": 0},
         {"preconditioner": "ilu"},
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
+        {"max_iterations": np.float64(10.0)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):

@@ -74,6 +74,35 @@ class TestConstruction:
             ScatteredDataset(pts, np.zeros(3))
         assert "1" in str(err.value) and "2" in str(err.value)  # offending indices
 
+    @pytest.mark.parametrize("bounds,axis", [
+        ([[np.nan, 1.0], [0.0, 1.0]], 0),
+        ([[-np.inf, 1.0], [0.0, 1.0]], 0),
+        ([[0.0, np.inf], [0.0, 1.0]], 0),
+        ([[1.0, 0.0], [0.0, 1.0]], 0),
+        ([[0.0, 1.0], [0.5, 0.5]], 1),
+    ], ids=["nan", "minus-inf", "inf", "reversed", "empty"])
+    def test_rejects_invalid_bounds(self, bounds, axis):
+        points = np.random.default_rng(0).random((300, 2))
+        with pytest.raises(ParameterError, match=f"axis {axis} bounds .* must be finite "
+                                                 "with lower < upper"):
+            ScatteredDataset(points, np.zeros(300), bounds)
+
+    @pytest.mark.parametrize("degrees", [2.5, 3.9, True, (3, 2.7), (3, np.float64(3.0))])
+    def test_rejects_non_integer_degrees(self, small_dataset_2d, degrees):
+        with pytest.raises(ParameterError, match="degree must be an integer"):
+            system.normalize_degrees(degrees, 2)
+        with pytest.raises(ParameterError, match="degree must be an integer"):
+            build_hierarchy(small_dataset_2d, 3, 1.0, degrees=degrees)
+
+    def test_accepts_numpy_integer_degrees(self):
+        assert system.normalize_degrees(np.int64(3), 2) == (3, 3)
+        assert system.normalize_degrees(np.array([3, 4]), 2) == (3, 4)
+
+    @pytest.mark.parametrize("level", [2.5, True, 2.0])
+    def test_level_operator_rejects_non_integer_level(self, small_dataset_2d, level):
+        with pytest.raises(ParameterError, match="level must be an integer"):
+            LevelOperator(small_dataset_2d, level, 1.0)
+
     def test_design_rows_sum_to_one(self, small_dataset_2d):
         op = build_level(small_dataset_2d, 3, 1.0)
         for p in range(2):

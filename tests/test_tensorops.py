@@ -336,7 +336,7 @@ class TestKernels:
         f, dense = windows
         x_cols = rng.standard_normal(f.n_cols)
         x_rows = rng.standard_normal(f.n_rows)
-        args = (f.values, f.base, f.rel, f.digits)
+        args = (f.axis_windows(), f.base, f.rel)
         if name == "scatter":
             out, ref = kernels.scatter(*args, x_cols, np.zeros(f.n_rows)), dense @ x_cols
         elif name == "gather":
@@ -384,7 +384,7 @@ class TestWindowKernelsAcrossDimensions:
             dense = (dense[:, None, :] * m[None, :, :]).reshape(-1, n)
         x_cols = gen.standard_normal(n)
         x_rows = gen.standard_normal(f.n_rows)
-        args = (f.values, f.base, f.rel, f.digits)
+        args = (f.axis_windows(), f.base, f.rel)
         checks = {
             "scatter": (kernels.scatter(*args, x_cols, np.zeros(f.n_rows)), dense @ x_cols),
             "gather": (kernels.gather(f.axis_windows(), f.base, f.rel, x_rows, np.empty(n)),
@@ -408,7 +408,8 @@ class TestWindowKernelsAcrossDimensions:
         ref = vals[lo:hi, 0, digits[:, 0]]
         for p in range(1, len(counts)):
             ref = ref * vals[lo:hi, p, digits[:, p]]
-        npt.assert_array_equal(kernels._window_weights(vals, digits, lo, hi), ref)
+        values = [vals[:, p, :c] for p, c in enumerate(counts)]
+        npt.assert_array_equal(kernels._window_weights(values, lo, hi), ref)
 
     @pytest.mark.parametrize("num_axes", [1, 2, 3, 4])
     def test_gram_matvec_scratch_is_bounded_by_chunk_entries(self, num_axes, rng):
@@ -423,7 +424,7 @@ class TestWindowKernelsAcrossDimensions:
         x = rng.standard_normal(f.n_rows)
         out = np.zeros(f.n_rows)
         tracemalloc.start()
-        kernels.gram_matvec(f.values, f.base, f.rel, f.digits, x, out)
+        kernels.gram_matvec(f.axis_windows(), f.base, f.rel, x, out)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak <= 6 * kernels.CHUNK_ENTRIES * 8 + 2 * out.nbytes
