@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 from .system import ScatteredDataset
 
 BLOCK_ROWS = 8192
@@ -34,14 +34,11 @@ def generate_dataset(num_axes: int, n: int, noise: float = 0.1, seed: int = 0) -
     Fully reproducible for a fixed seed; ``noise=0`` returns exact surface
     values.
     """
-    if num_axes < 1:
-        raise ParameterError(f"dimension must be >= 1, got {num_axes}")
-    if n < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n}")
+    num_axes = check_integer(num_axes, "dimension must be >= 1 and an integer", 1)
+    n = check_integer(n, "sample count must be >= 1 and an integer", 1)
+    seed = check_integer(seed, "seed must be >= 0 and an integer", 0)
     if not (np.isfinite(noise) and noise >= 0):
         raise ParameterError(f"noise level must be finite and >= 0, got {noise}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     points = rng.random((n, num_axes))
     responses = sigmoid_target(points)

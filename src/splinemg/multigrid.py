@@ -23,9 +23,9 @@ cap it is solved by the package's CG (`solvers.cg_solve`) instead.
 of one solve step, given equal sweep counts: the identity (``none``), or one
 V-cycle from zero with the `vcycle_smoother` of that name, the one place that
 builds a smoother:
-Chebyshev sweeps on ``D^{-1} A`` (``mg-jacobi``, matrix-free; `jacobi_smooth`)
-or symmetric Gauss-Seidel sweeps (``mg-ssor``, one stored CSR triangle of
-``D^{-1/2} A D^{-1/2}`` per level; `gauss_seidel_smoother`).
+Chebyshev sweeps on ``D^{-1} A`` (``mg-jacobi``, matrix-free; `jacobi_smooth`
+over `chebyshev_smooth`) or symmetric Gauss-Seidel sweeps (``mg-ssor``, one
+stored CSR triangle of ``D^{-1/2} A D^{-1/2}`` per level; `gauss_seidel_smoother`).
 """
 from __future__ import annotations
 
@@ -292,22 +292,19 @@ def chebyshev_ratio(degrees) -> int:
     return max(2, (max(degrees) - 1) * len(degrees) ** 2)
 
 
-def jacobi_smooth(level: LevelOperator, alpha, b, steps: int) -> np.ndarray:
-    """``steps`` Chebyshev steps for ``A alpha = b`` on ``D^{-1} A`` (Adams,
-    Brezina, Hu and Tuminaro, J. Comput. Phys. 188, 2003).
+def chebyshev_smooth(level, alpha, b, steps: int, inverse, upper, lower) -> np.ndarray:
+    """``steps`` Chebyshev steps for ``A alpha = b`` on ``M^{-1} A`` (Adams,
+    Brezina, Hu and Tuminaro, J. Comput. Phys. 188, 2003), for the SPD ``M``
+    whose ``inverse(r)`` overwrites ``r`` with ``M^{-1} r``.
 
-    The steps minimize the largest error factor on ``[lambda_max / c,
-    lambda_max]``, with ``lambda_max`` the level's `jacobi_spectral_bound` and
-    ``c`` the `chebyshev_ratio` of ``level.degrees``: after ``k`` steps the
-    error is ``T_k((theta - D^{-1} A) / delta) / T_k(theta / delta)`` times
-    the initial one, where ``theta`` and ``delta`` are the interval's centre
-    and half-width.  A step costs one operator application, as a Jacobi
-    sweep does; ``alpha=None`` starts from the zero vector, whose residual is
-    ``b`` at no application.  Besides ``alpha`` a call holds one residual and
-    one direction vector.
+    The steps minimize the largest error factor on ``[lower, upper]``: after
+    ``k`` steps the error is ``T_k((theta - M^{-1} A) / delta) / T_k(theta /
+    delta)`` times the initial one, where ``theta`` and ``delta`` are the
+    interval's centre and half-width.  A step costs one operator application
+    and one ``inverse``; ``alpha=None`` starts from the zero vector, whose
+    residual is ``b`` at no application.  Besides ``alpha`` a call holds one
+    residual and one direction vector.
     """
-    if steps < 0:
-        raise ParameterError("step count must be non-negative")
     b = np.ascontiguousarray(b, dtype=np.float64)
     if b.shape != (level.size,):
         raise ShapeError(f"expected vector of length {level.size}, got {b.shape}")
@@ -320,33 +317,35 @@ def jacobi_smooth(level: LevelOperator, alpha, b, steps: int) -> np.ndarray:
             raise ShapeError(f"expected vector of length {level.size}, got {alpha.shape}")
     if steps == 0:
         return alpha
-    upper = jacobi_spectral_bound(level)
-    lower = upper / chebyshev_ratio(level.degrees)
     theta, delta = 0.5 * (upper + lower), 0.5 * (upper - lower)
     sigma = theta / delta
-    diag = level.diagonal()
-    r = b / diag if zero_start else _scaled_residual(level, alpha, b, diag, np.empty(level.size))
-    d = r / theta
-    rho = 1.0 / sigma
-    for k in range(1, steps + 1):
+    rho, r = 1.0 / sigma, b.copy()  # r: the residual of the zero start
+    for k in range(steps):
+        if k or not zero_start:
+            np.subtract(b, level.apply(alpha, out=r), out=r)
+        inverse(r)
+        if k:
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            d *= rho_next * rho
+            r *= 2.0 * rho_next / delta
+            d += r
+            rho = rho_next
+        else:
+            d = r / theta
         alpha += d
-        if k == steps:
-            break
-        _scaled_residual(level, alpha, b, diag, r)
-        rho_next = 1.0 / (2.0 * sigma - rho)
-        d *= rho_next * rho
-        r *= 2.0 * rho_next / delta
-        d += r
-        rho = rho_next
     return alpha
 
 
-def _scaled_residual(level, alpha, b, diag, out) -> np.ndarray:
-    """``out = (b - A alpha) / diag`` with one operator application into ``out``."""
-    level.apply(alpha, out=out)
-    np.subtract(b, out, out=out)
-    out /= diag
-    return out
+def jacobi_smooth(level: LevelOperator, alpha, b, steps: int) -> np.ndarray:
+    """``steps`` `chebyshev_smooth` steps on ``D^{-1} A`` over ``[lambda_max / c,
+    lambda_max]``, with ``lambda_max`` the level's `jacobi_spectral_bound` and
+    ``c`` the `chebyshev_ratio` of ``level.degrees``.  A step costs one
+    operator application, as a Jacobi sweep does; zero steps read no bound."""
+    steps = check_integer(steps, "step count must be a non-negative integer", 0)
+    upper = jacobi_spectral_bound(level) if steps else 0.0
+    return chebyshev_smooth(level, alpha, b, steps,
+                            lambda r: np.divide(r, level.diagonal(), out=r),
+                            upper, upper / chebyshev_ratio(level.degrees))
 
 
 def scaled_upper_triangle(matrix):
@@ -387,8 +386,8 @@ def gauss_seidel_sweep(upper, root, alpha, b) -> None:
 
 
 def gauss_seidel_smoother(hier: Hierarchy):
-    """Symmetric Gauss-Seidel smoother ``(g, alpha, b, steps) -> alpha`` of levels
-    ``2..G`` (``alpha=None``: zero start) and the bytes it stores.
+    """Symmetric Gauss-Seidel smoother ``(g, alpha, b, steps, phase) -> alpha``
+    of levels ``2..G`` (``alpha=None``: zero start; any phase) and the bytes it stores.
 
     Each level keeps only its `scaled_upper_triangle` and ``root``, cut from
     its `LevelOperator.band_csr` (built and dropped on a windows level).
@@ -406,7 +405,7 @@ def gauss_seidel_smoother(hier: Hierarchy):
         stored += stored_bytes(upper) + root.nbytes
         sweeps[op.level] = (upper, root)
 
-    def smoother(g, alpha, b, steps):
+    def smoother(g, alpha, b, steps, phase):
         upper, root = sweeps[g]
         alpha = np.zeros(root.size) if alpha is None else np.array(alpha, dtype=np.float64)
         for _ in range(steps):
@@ -424,15 +423,16 @@ def require_vcycle_name(name: str) -> None:
 
 
 def vcycle_smoother(hier: Hierarchy, name: str):
-    """The smoother ``(g, alpha, b, steps) -> alpha`` of the V-cycle preconditioner
-    ``name`` (``'mg-jacobi'`` or ``'mg-ssor'``; ``alpha=None``: zero start) and
-    the bytes it stores: `jacobi_smooth` on the level, matrix-free, or the
-    `gauss_seidel_smoother` of ``hier``."""
+    """The smoother ``(g, alpha, b, steps, phase) -> alpha`` of the V-cycle
+    preconditioner ``name`` (``'mg-jacobi'`` or ``'mg-ssor'``; ``alpha=None``:
+    zero start) and the bytes it stores: `jacobi_smooth` on the level, matrix-free,
+    or the `gauss_seidel_smoother` of ``hier``; both are self-adjoint, any phase."""
     require_vcycle_name(name)
     if name == "mg-jacobi":
         # the module's `jacobi_smooth` is looked up at each call, so that a
         # rebinding of it (a timing hook) reaches every V-cycle
-        return (lambda g, alpha, b, steps: jacobi_smooth(hier.levels[g - 1], alpha, b, steps)), 0
+        return (lambda g, alpha, b, steps, phase:
+                jacobi_smooth(hier.levels[g - 1], alpha, b, steps)), 0
     return gauss_seidel_smoother(hier)
 
 
@@ -507,8 +507,10 @@ def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> n
     Pre-smooth, restrict the residual ``A alpha - b``, recurse from a zero
     initial guess, subtract the prolonged coarse correction, post-smooth;
     level 1 is solved by `coarse_solve` and vectors move by `transfer`.
-    ``alpha=None`` means a zero start.  ``smoother(g, alpha, b, steps)``
-    defaults to the ``'mg-jacobi'`` `vcycle_smoother`.  Any sweep counts run.
+    ``alpha=None`` means a zero start.  ``smoother(g, alpha, b, steps, phase)``
+    (default: the ``'mg-jacobi'`` `vcycle_smoother`) is told ``"pre"`` or ``"post"``;
+    one whose steps are not self-adjoint runs ``"post"`` as the mirror of ``"pre"``,
+    which keeps the ``nu1 == nu2`` cycle symmetric.  Any sweep counts run.
     """
     g = hier.num_levels if g is None else int(g)
     if g == 1:
@@ -520,8 +522,8 @@ def v_cycle(hier: Hierarchy, alpha, b, g: int | None = None, smoother=None) -> n
 
     if smoother is None:
         smoother, _ = vcycle_smoother(hier, "mg-jacobi")
-    alpha = smoother(g, alpha, b, hier.nu1)
+    alpha = smoother(g, alpha, b, hier.nu1, "pre")
     r = level.apply(alpha) - b
     e = v_cycle(hier, None, transfer(hier, g, r, "restrict"), g - 1, smoother)
     alpha -= transfer(hier, g - 1, e, "prolong")
-    return smoother(g, alpha, b, hier.nu2)
+    return smoother(g, alpha, b, hier.nu2, "post")

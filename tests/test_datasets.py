@@ -46,6 +46,12 @@ class TestGenerateDataset:
         {"num_axes": 2, "n": 5, "seed": -1},
         {"num_axes": 2, "n": 5, "noise": float("nan")},
         {"num_axes": 2, "n": 5, "noise": float("inf")},
+        # integers only, never a bool
+        {"num_axes": 2, "n": 300.5},
+        {"num_axes": 2.0, "n": 300},
+        {"num_axes": True, "n": 300},
+        {"num_axes": 2, "n": 300, "seed": 1.5},
+        {"num_axes": 2, "n": 300, "seed": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):

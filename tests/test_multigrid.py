@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from splinemg import (
@@ -30,8 +31,10 @@ from splinemg import (
 from splinemg.multigrid import (
     COARSE_CG_TOL,
     chebyshev_ratio,
+    chebyshev_smooth,
     first_assembled_level,
     jacobi_spectral_bound,
+    vcycle_smoother,
 )
 from splinemg.solvers import cg_solve, mgcg_solve
 from splinemg.system import BandPattern, LevelOperator
@@ -218,6 +221,40 @@ class TestJacobiSmooth:
             jacobi_smooth(level, None, np.zeros(level.size), 1, 0.8)
         with pytest.raises(ShapeError):
             jacobi_smooth(level, None, np.zeros(level.size + 2), 1)
+        for steps in (1.5, True, None):  # an integer step count, never a bool
+            with pytest.raises(ParameterError, match="step count must be a non-negative"):
+                jacobi_smooth(level, None, np.zeros(level.size), steps)
+
+
+class TestChebyshevSmooth:
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    def test_error_is_the_chebyshev_polynomial_of_a_block_inverse(self, steps, start):
+        # M is the 2x2 block diagonal of A; the error after the steps is
+        # p(M^-1 A) times the initial error, with p(M^-1 A) = M^-1/2 Q p(Lambda)
+        # Q' M^1/2 from M^-1/2 A M^-1/2 = Q Lambda Q'
+        gen = np.random.default_rng(10 + steps)
+        m = gen.standard_normal((20, 20))
+        a = m @ m.T + np.diag(gen.uniform(1.0, 30.0, 20))
+        blocks = np.array([a[i:i + 2, i:i + 2] for i in range(0, 20, 2)])
+        w, v = np.linalg.eigh(blocks)
+        root = scipy.linalg.block_diag(*(v * np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1))
+        inv_root = scipy.linalg.block_diag(*(v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1))
+        eigenvalues, q = np.linalg.eigh(inv_root @ a @ inv_root)
+        upper, ratio = 1.05 * eigenvalues[-1], 6
+
+        def inverse(r):
+            r[:] = np.linalg.solve(blocks, r.reshape(10, 2, 1)).ravel()
+
+        x_star = gen.standard_normal(20)
+        alpha0 = None if start == "zero" else gen.standard_normal(20)
+        out = chebyshev_smooth(DenseOperator(a), alpha0, a @ x_star, steps, inverse,
+                               upper, upper / ratio)
+        factor = chebyshev_factor(steps, upper, ratio, eigenvalues)
+        poly = inv_root @ (q * factor) @ q.T @ root
+        error0 = x_star if alpha0 is None else x_star - alpha0
+        npt.assert_allclose(x_star - out, poly @ error0, rtol=0,
+                            atol=1e-11 * np.abs(error0).max())
 
 
 @functools.lru_cache(maxsize=1)
@@ -404,6 +441,35 @@ class TestVCycle:
     def test_shape_error(self, hier_2d):
         with pytest.raises(ShapeError):
             v_cycle(hier_2d, None, np.zeros(7), 3)
+
+    def test_smoother_is_told_the_phase(self, hier_2d, rng):
+        calls, jacobi = [], vcycle_smoother(hier_2d, "mg-jacobi")[0]
+
+        def recording(g, alpha, b, steps, phase):
+            calls.append((g, phase))
+            return jacobi(g, alpha, b, steps, phase)
+
+        v_cycle(hier_2d, None, rng.standard_normal(hier_2d.finest.size), smoother=recording)
+        assert calls == [(3, "pre"), (2, "pre"), (2, "post"), (3, "post")]
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_mirrored_hybrid_keeps_the_cycle_symmetric(self, hier_2d, mirrored):
+        # Chebyshev steps, then Gauss-Seidel sweeps: the two do not commute, so
+        # the cycle is symmetric only when "post" runs them in reverse order
+        steppers = [vcycle_smoother(hier_2d, name)[0] for name in ("mg-jacobi", "mg-ssor")]
+
+        def hybrid(g, alpha, b, steps, phase):
+            for stepper in steppers[::-1] if mirrored and phase == "post" else steppers:
+                alpha = stepper(g, alpha, b, steps, phase)
+            return alpha
+
+        minv = np.column_stack([v_cycle(hier_2d, None, e, smoother=hybrid)
+                                for e in np.eye(hier_2d.finest.size)])
+        asymmetry = np.abs(minv - minv.T).max() / np.abs(minv).max()
+        if mirrored:
+            assert asymmetry <= 1e-14
+        else:
+            assert asymmetry > 1e-6
 
 
 class TestAssembledLevels:
