@@ -21,7 +21,6 @@ from .errors import (
 from .multigrid import Hierarchy, build_hierarchy, coarse_solve, jacobi_smooth, transfer, v_cycle
 from .solvers import SolveReport, SolverConfig, cg_solve, mgcg_solve
 from .system import (
-    DENSE_CAP,
     LevelOperator,
     PenaltyTerm,
     ScatteredDataset,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "DENSE_CAP",
     "DomainError",
     "Hierarchy",
     "KhatriRaoFactors",

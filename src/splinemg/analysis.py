@@ -1,10 +1,10 @@
 """Desk-scale spectral diagnostics of the solvers.
 
 Everything here assembles dense matrices by probing linear maps with unit
-vectors, so all routines are guarded by the ``dense_cap`` the hierarchy was
-built with.  The module provides the inverse-preconditioner probe,
-eigenvalue/condition reports and the stationary-iteration error propagator
-of the V-cycle.  The preconditioners probed are the solver's own, built by
+vectors, so every routine refuses (`CapacityError`) a finest level above
+`system.DENSE_CAP`, read when it runs.  The module provides the
+inverse-preconditioner probe, eigenvalue/condition reports and the
+stationary-iteration error propagator of the V-cycle.  The preconditioners probed are the solver's own, built by
 `multigrid.preconditioner` from the names of `multigrid.PRECONDITIONERS`, and
 the propagator is read from the same probe: there is no second V-cycle here.
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import system
 from .errors import CapacityError, NumericError
 from .multigrid import VCYCLE_SMOOTHERS, Hierarchy, preconditioner, require_vcycle_name
 
@@ -77,9 +78,9 @@ def spectral_radius(matrix: np.ndarray) -> float:
 def probe_inverse_preconditioner(hier: Hierarchy, name: str = "mg-jacobi") -> np.ndarray:
     """Assemble ``M^{-1}`` columnwise (one application of the preconditioner
     ``name`` per unit vector)."""
-    if hier.finest.size > hier.dense_cap:
+    if hier.finest.size > system.DENSE_CAP:
         raise CapacityError(f"preconditioner probe of dimension {hier.finest.size} "
-                            f"exceeds dense cap {hier.dense_cap}")
+                            f"exceeds DENSE_CAP = {system.DENSE_CAP}")
     precond, _ = preconditioner(hier, name)
     size = hier.finest.size
     out, e = np.empty((size, size)), np.zeros(size)
@@ -102,7 +103,7 @@ def iteration_matrix(hier: Hierarchy, name: str = "mg-jacobi") -> np.ndarray:
     Sweep counts that `multigrid.preconditioner` refuses are refused here.
     """
     require_vcycle_name(name)
-    a = hier.finest.assemble_dense(hier.dense_cap)
+    a = hier.finest.assemble_dense()
     if hier.num_levels == 1:
         return np.zeros_like(a)
     return np.eye(a.shape[0]) - probe_inverse_preconditioner(hier, name) @ a
@@ -115,7 +116,7 @@ def condition_summary(hier: Hierarchy) -> dict:
     `VCYCLE_SMOOTHERS`.
     """
     op = hier.finest
-    a = op.assemble_dense(hier.dense_cap)
+    a = op.assemble_dense()
     reports = {"plain": spectrum(a, label="plain")}
     for name in VCYCLE_SMOOTHERS:
         minv_a = probe_inverse_preconditioner(hier, name) @ a

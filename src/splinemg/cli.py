@@ -28,10 +28,9 @@ A subcommand accepts only the flags it reads, each defaulting to its
 solver's, ``bench`` all but ``--levels``.  ``--precond`` is
 `SolverConfig.preconditioner`, which `mgcg_solve` dispatches on.
 `multigrid.preconditioner` requires equal, positive ``--nu1``/``--nu2`` (exit 2).
-``--dense-cap`` is the hierarchy's ``dense_cap``: the Cholesky coarse solve
-and the ``analyze`` probes form dense matrices up to that size, and
-``mg-ssor`` refuses a level band of more than ``dense_cap**2`` entries.
-`CapacityError` and running out of memory exit with ``EXIT_CAPACITY``.
+`CapacityError` (solve vectors above physical memory, a dense matrix above
+`system.DENSE_CAP`, an ``mg-ssor`` band above its square) and running out
+of memory exit with ``EXIT_CAPACITY``.
 """
 from __future__ import annotations
 
@@ -56,7 +55,7 @@ from .errors import (
 )
 from .multigrid import PRECONDITIONERS, VCYCLE_SMOOTHERS, build_hierarchy
 from .solvers import SolverConfig, mgcg_solve
-from .system import DENSE_CAP, ScatteredDataset, evaluate_spline, normalize_degrees
+from .system import ScatteredDataset, evaluate_spline, normalize_degrees
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -86,7 +85,6 @@ class RunConfig:
     input: str | None = None
     output: str | None = None
     grid: int = 0
-    dense_cap: int = DENSE_CAP
 
     def validate(self) -> "RunConfig":
         if self.dim < 1:
@@ -103,8 +101,6 @@ class RunConfig:
             raise ParameterError("generator needs --n >= 1 and --noise >= 0")
         if self.grid < 0:
             raise ParameterError("--grid must be non-negative")
-        if self.dense_cap < 1:
-            raise ParameterError("--dense-cap must be >= 1")
         return self
 
     def solver_config(self, preconditioner: str | None = None) -> SolverConfig:
@@ -122,7 +118,6 @@ class RunConfig:
             degrees=self.degree,
             nu1=self.nu1,
             nu2=self.nu2,
-            dense_cap=self.dense_cap,
         )
 
 
@@ -148,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="spline degree (2..5)")
     hierarchy.add_argument("--nu1", type=int, default=RunConfig.nu1, help="pre-smoothing sweeps")
     hierarchy.add_argument("--nu2", type=int, default=RunConfig.nu2, help="post-smoothing sweeps")
-    hierarchy.add_argument("--dense-cap", type=int, default=RunConfig.dense_cap,
-                           help="largest dimension assembled densely; mg-ssor also "
-                           "refuses a level band of more than its square entries")
     solver.add_argument("--tol", type=float, default=RunConfig.tol,
                         help="relative residual tolerance")
     solver.add_argument("--max-iter", type=int, default=RunConfig.max_iter,
@@ -326,8 +318,9 @@ def _cmd_fit(args) -> int:
 def _read_model(path):
     """Axis spaces and per-axis scaling maps of a fit's ``report.json``.
 
-    A missing or malformed key raises `ParameterError` naming the file and
-    the key; a file that is not JSON raises ``ValueError``."""
+    A missing or malformed key, or a scaling map that is not finite with
+    ``lo < hi``, raises `ParameterError` naming the file and the key; a file
+    that is not JSON raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
 
@@ -354,8 +347,10 @@ def _read_model(path):
         raise ParameterError(f"{path}: key 'scaling' has {len(scaling)} entries for "
                              f"{len(spaces)} spaces")
     for i, s in enumerate(scaling):
-        for k in ("lo", "hi"):
-            field(s, f"scaling[{i}].{k}", number, "a number")
+        lo, hi = (field(s, f"scaling[{i}].{k}", number, "a number") for k in ("lo", "hi"))
+        if not -np.inf < lo < hi < np.inf:
+            raise ParameterError(f"{path}: key 'scaling[{i}]' must be finite with lo < hi, "
+                                 f"got {s!r}")
     return tuple(spaces), scaling
 
 

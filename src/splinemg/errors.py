@@ -20,7 +20,9 @@ class DomainError(SplinemgError, ValueError):
 
 
 class CapacityError(SplinemgError, RuntimeError):
-    """A dense object (or an mg-ssor level band) would exceed the dense cap."""
+    """A run would exceed a capacity: finest-level solve vectors above physical
+    memory, a dense matrix above `system.DENSE_CAP`, or an mg-ssor level band
+    above its square."""
 
 
 class NumericError(SplinemgError, RuntimeError):

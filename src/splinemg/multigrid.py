@@ -16,8 +16,9 @@ than with a matrix-free finest level.  Otherwise the walk goes down from
 level ``G - 1``; levels stay matrix-free until the first one whose band
 nonzeros fit into the window entries of one data pass
 (``n * prod(q + 1)``), so that one CSR product costs no more than one pass
-over the data.  Only the coarsest operator is factorized; above the dense
-cap it is solved by the package's CG (`solvers.cg_solve`) instead.
+over the data.  Only the coarsest operator is factorized; above
+`system.DENSE_CAP` it is solved by the package's CG (`solvers.cg_solve`)
+instead.
 
 `preconditioner` turns a name of `PRECONDITIONERS` into the ``r -> z`` map
 of one solve step, given equal sweep counts: the identity (``none``), or one
@@ -37,10 +38,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from . import system
 from .bsplines import subdivision_matrix
 from .errors import CapacityError, NumericError, ParameterError, ShapeError, check_integer
 from .system import (
-    DENSE_CAP,
     BandPattern,
     LevelOperator,
     ScatteredDataset,
@@ -51,7 +52,7 @@ from .system import (
 from .tensorops import kron_diagonal, kron_matvec, kron_matvec_transposed, stored_bytes
 
 # relative residual tolerance of the nested CG that solves a coarsest level
-# above the dense cap
+# above `system.DENSE_CAP`
 COARSE_CG_TOL = 1e-10
 VCYCLE_SMOOTHERS = ("mg-jacobi", "mg-ssor")
 PRECONDITIONERS = ("none", *VCYCLE_SMOOTHERS)
@@ -69,21 +70,20 @@ class Hierarchy:
         ``g`` to ``g + 1`` (fine-dim x coarse-dim each).
     nu1, nu2 : int
         Pre-/post-smoothing sweeps of the V-cycle.
-    dense_cap : int
-        Largest dimension assembled densely: the coarsest level is solved by
-        Cholesky when its size is at most ``dense_cap``, otherwise by nested
-        CG to the relative tolerance ``COARSE_CG_TOL``.
+
+    The coarsest level is solved by Cholesky when its size is at most
+    `system.DENSE_CAP` at construction, otherwise by nested CG to the
+    relative tolerance ``COARSE_CG_TOL``.
     """
 
-    def __init__(self, levels, transfers, nu1, nu2, dense_cap=DENSE_CAP):
+    def __init__(self, levels, transfers, nu1, nu2):
         self.levels = levels
         self.transfers = transfers
         self.nu1 = int(nu1)
         self.nu2 = int(nu2)
-        self.dense_cap = int(dense_cap)
         self._coarse_factor = None
-        if levels[0].size <= self.dense_cap:
-            a1 = levels[0].assemble_dense(self.dense_cap)
+        if levels[0].size <= system.DENSE_CAP:
+            a1 = levels[0].assemble_dense()
             try:
                 self._coarse_factor = scipy.linalg.cho_factor(a1)
             except scipy.linalg.LinAlgError as exc:
@@ -211,14 +211,13 @@ def build_hierarchy(
     degrees=3,
     nu1: int = 2,
     nu2: int = 2,
-    dense_cap: int = DENSE_CAP,
 ) -> Hierarchy:
     """Build level operators, transfer factors and the coarse factorization.
 
     Levels are assembled into CSR by the size rule of the module docstring
     (`first_assembled_level`), which reads only the dataset's size and the
     spaces.  The coarsest level is factorized by Cholesky when its dimension
-    is at most ``dense_cap`` and solved by nested CG otherwise.  Every
+    is at most `system.DENSE_CAP` and solved by nested CG otherwise.  Every
     level's diagonal is formed first, so that a ``lam`` whose penalty
     overflows raises `ParameterError`.  Before any space is built, a finest
     level whose solve vectors alone exceed physical memory raises
@@ -252,7 +251,7 @@ def build_hierarchy(
             levels[g - 1] = build_level(dataset, g, lam, degrees)
         for op in levels[:assembled]:
             op.diagonal()  # the windows levels' come from `build_level`
-    return Hierarchy(levels, transfers, nu1, nu2, dense_cap)
+    return Hierarchy(levels, transfers, nu1, nu2)
 
 
 def jacobi_spectral_bound(level) -> float:
@@ -392,13 +391,14 @@ def gauss_seidel_smoother(hier: Hierarchy):
     Each level keeps only its `scaled_upper_triangle` and ``root``, cut from
     its `LevelOperator.band_csr` (built and dropped on a windows level).
     Raises `CapacityError` when a smoothed level's `BandPattern` holds more
-    than ``hier.dense_cap**2`` entries, before any triangle is built."""
-    cap = hier.dense_cap ** 2  # entries of the largest dense matrix admitted
+    than ``system.DENSE_CAP**2`` entries, the entry count of the largest dense
+    matrix admitted, before any triangle is built."""
+    cap = system.DENSE_CAP ** 2
     for op in hier.levels[1:]:
         nnz = BandPattern(op.spaces).nnz
         if nnz > cap:
             raise CapacityError(f"mg-ssor on level {op.level}: its band holds {nnz} "
-                                f"entries, more than dense_cap**2 = {cap}")
+                                f"entries, more than DENSE_CAP**2 = {cap}")
     sweeps, stored = {}, 0
     for op in hier.levels[1:]:
         upper, root = scaled_upper_triangle(op.band_csr())
@@ -495,8 +495,8 @@ def coarse_solve(hier: Hierarchy, b) -> np.ndarray:
         raise NumericError(
             f"nested coarse CG on level 1 (size {coarse.size}) ended at relative "
             f"residual {report.true_relative_residual:.3g}, no better than the zero "
-            f"vector; a dense_cap of at least {coarse.size} (now {hier.dense_cap}) "
-            "solves it by Cholesky"
+            f"vector; it is above DENSE_CAP = {system.DENSE_CAP}, so it has no Cholesky "
+            "factor"
         )
     return report.coefficients
 

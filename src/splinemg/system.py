@@ -43,6 +43,7 @@ from .tensorops import (
     stored_bytes,
 )
 
+# largest dense dimension (squared: largest mg-ssor band); read here at each use
 DENSE_CAP = 20_000
 
 
@@ -52,7 +53,7 @@ class ScatteredDataset:
 
     Attributes
     ----------
-    points : (n, P) array
+    points : (n, P) array, P >= 1, or (n,) for one axis
         Covariates; every coordinate must lie inside its axis interval.
     responses : (n,) array
     bounds : (P, 2) array
@@ -68,6 +69,9 @@ class ScatteredDataset:
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim == 1:
             points = points[:, None]
+        if points.ndim != 2 or points.shape[1] < 1:
+            raise ShapeError(f"points must have shape (n,) or (n, P) with P >= 1, "
+                             f"got {points.shape}")
         responses = np.ascontiguousarray(responses, dtype=np.float64).reshape(-1)
         if points.shape[0] != responses.shape[0]:
             raise ShapeError(
@@ -481,14 +485,13 @@ class LevelOperator:
             rough += term.weight * float(alpha @ kron_matvec(term.factors, alpha))
         return rough
 
-    def assemble_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        """Densify the operator (guarded by ``cap``; the coarse Cholesky
+    def assemble_dense(self) -> np.ndarray:
+        """Densify the operator (guarded by `DENSE_CAP`; the coarse Cholesky
         factor and diagnostics only): ``toarray()`` of `band_csr`, so a
         windows level stays matrix-free."""
-        if self.size > cap:
-            raise CapacityError(
-                f"dense assembly of a {self.size}x{self.size} operator exceeds cap {cap}"
-            )
+        if self.size > DENSE_CAP:
+            raise CapacityError(f"dense assembly of a {self.size}x{self.size} operator "
+                                f"exceeds DENSE_CAP = {DENSE_CAP}")
         return self.band_csr().toarray()
 
     def memory_bytes(self) -> int:

@@ -14,6 +14,7 @@ from splinemg import (
     mgcg_solve,
     v_cycle,
 )
+from splinemg import system
 from splinemg.analysis import (
     condition_summary,
     iteration_matrix,
@@ -101,8 +102,9 @@ class TestProbe:
         assert rep.eigenvalues.max() < 2.0
         assert np.median(np.abs(rep.eigenvalues - 1.0)) < 0.5
 
-    def test_capacity_guard(self, small_dataset_2d):
-        big = build_hierarchy(small_dataset_2d, 4, 1.0, dense_cap=100)
+    def test_capacity_guard(self, small_dataset_2d, monkeypatch):
+        monkeypatch.setattr(system, "DENSE_CAP", 100)
+        big = build_hierarchy(small_dataset_2d, 4, 1.0)
         with pytest.raises(CapacityError):
             probe_inverse_preconditioner(big)
 

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinemg import analysis, build_space, cli
+from splinemg import analysis, build_space, cli, system
 from oracles import dense_tensor_design
 
 
@@ -38,7 +38,7 @@ def fit_dir(tmp_path):
 
 
 DATA_FLAGS = {"--dim", "--n", "--noise", "--seed"}
-HIERARCHY_FLAGS = {"--lambda", "--degree", "--nu1", "--nu2", "--dense-cap"}
+HIERARCHY_FLAGS = {"--lambda", "--degree", "--nu1", "--nu2"}
 SOLVER_FLAGS = {"--tol", "--max-iter", "--precond"}
 
 
@@ -56,13 +56,14 @@ class TestFlags:
             "analyze": source | {"--levels"} | HIERARCHY_FLAGS | {"--output"},
             "bench": source | HIERARCHY_FLAGS | SOLVER_FLAGS | {"--g-min", "--g-max", "--output"},
         }
-        assert sum(map(len, flags.values())) == 52
+        assert sum(map(len, flags.values())) == 49
 
     @pytest.mark.parametrize("command,flag", [
         *[("generate", f) for f in ("--levels", "--lambda", "--degree", "--tol", "--max-iter",
                                     "--nu1", "--nu2", "--precond", "--dense-cap")],
         *[("analyze", f) for f in ("--tol", "--max-iter", "--precond", "--skip-ssor")],
         ("bench", "--levels"),
+        *[(c, "--dense-cap") for c in ("fit", "analyze", "bench")],
     ])
     def test_unread_flag_is_gone(self, tmp_path, capsys, command, flag):
         value = [] if flag == "--skip-ssor" else ["mg-jacobi" if flag == "--precond" else 2]
@@ -310,15 +311,15 @@ class TestFit:
         assert time.perf_counter() - start < 10.0
         assert "level 40 has 1099511627779 coefficients" in capsys.readouterr().err
 
-    def test_failed_nested_coarse_solve_exit_code(self, tmp_path, capsys):
+    def test_failed_nested_coarse_solve_exit_code(self, tmp_path, capsys, monkeypatch):
         # level 1 (49 unknowns) has condition number near 1e14: the nested
-        # CG that replaces Cholesky under --dense-cap 1 ends worse than zero
+        # CG that replaces Cholesky under a DENSE_CAP of 1 ends worse than zero
+        monkeypatch.setattr(system, "DENSE_CAP", 1)
         code = run(["fit", "--dim", 2, "--n", 3000, "--seed", 3, "--levels", 2,
-                    "--lambda", "1e-8", "--degree", 5, "--dense-cap", 1,
-                    "--output", tmp_path / "coarse"])
+                    "--lambda", "1e-8", "--degree", 5, "--output", tmp_path / "coarse"])
         assert code == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "level 1 (size 49)" in err and "dense_cap" in err
+        assert "level 1 (size 49)" in err and "DENSE_CAP = 1" in err
 
     def test_overflowing_lambda_exit_code(self, tmp_path, capsys):
         code = run(["fit", "--dim", 2, "--n", 300, "--levels", 3, "--lambda", "1e308",
@@ -340,9 +341,9 @@ class TestFit:
         err = capsys.readouterr().err
         assert "coarse factorization failed on level 1" in err and swamped in err
 
-    def test_capacity_exit_code(self, tmp_path):
-        code = run(["fit", *BASE_FIT, "--precond", "mg-ssor", "--dense-cap", 10,
-                    "--output", tmp_path / "cap"])
+    def test_capacity_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(system, "DENSE_CAP", 10)
+        code = run(["fit", *BASE_FIT, "--precond", "mg-ssor", "--output", tmp_path / "cap"])
         assert code == cli.EXIT_CAPACITY
 
     def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
@@ -540,7 +541,16 @@ class TestPredict:
         (lambda r: {**r, "scaling": [r["scaling"][0], {"lo": 0.0}]},
          "'scaling[1].hi' is missing"),
         (lambda r: {**r, "scaling": r["scaling"][:1]}, "'scaling' has 1 entries for 2 spaces"),
-    ], ids=["empty", "no-spaces", "str-level", "float-level", "degree", "no-hi", "short"])
+        (lambda r: {**r, "scaling": [r["scaling"][0], {"lo": 0.5, "hi": 0.5}]},
+         "'scaling[1]' must be finite with lo < hi, got {'lo': 0.5, 'hi': 0.5}"),
+        (lambda r: {**r, "scaling": [{"lo": 1.0, "hi": 0.0}, r["scaling"][1]]},
+         "'scaling[0]' must be finite with lo < hi"),
+        (lambda r: {**r, "scaling": [{"lo": float("nan"), "hi": 1.0}, r["scaling"][1]]},
+         "'scaling[0]' must be finite with lo < hi"),
+        (lambda r: {**r, "scaling": [r["scaling"][0], {"lo": 0.0, "hi": float("inf")}]},
+         "'scaling[1]' must be finite with lo < hi"),
+    ], ids=["empty", "no-spaces", "str-level", "float-level", "degree", "no-hi", "short",
+            "empty-scaling", "reversed-scaling", "nan-scaling", "inf-scaling"])
     def test_malformed_model_exit_code(self, fit_dir, tmp_path, capsys, edit, key):
         report = json.loads((fit_dir / "report.json").read_text())
         model = tmp_path / "model"

@@ -37,6 +37,7 @@ from splinemg.multigrid import (
     vcycle_smoother,
 )
 from splinemg.solvers import cg_solve, mgcg_solve
+from splinemg import system
 from splinemg.system import BandPattern, LevelOperator
 from splinemg.tensorops import stored_bytes
 from conftest import make_dataset
@@ -48,7 +49,7 @@ def windows_finest(hier):
     finest = hier.finest
     levels = hier.levels[:-1] + [build_level(finest.dataset, finest.level, finest.lam,
                                              finest.degrees)]
-    return Hierarchy(levels, hier.transfers, hier.nu1, hier.nu2, hier.dense_cap)
+    return Hierarchy(levels, hier.transfers, hier.nu1, hier.nu2)
 
 
 @pytest.fixture(scope="module")
@@ -327,42 +328,47 @@ class TestCoarseSolve:
     def test_zero_rhs(self, hier_2d):
         npt.assert_array_equal(coarse_solve(hier_2d, np.zeros(25)), np.zeros(25))
 
-    def test_cg_fallback_agrees_with_direct(self, small_dataset_2d, rng):
+    def test_cg_fallback_agrees_with_direct(self, small_dataset_2d, rng, monkeypatch):
         direct = build_hierarchy(small_dataset_2d, 2, 1.0)
-        nested = build_hierarchy(small_dataset_2d, 2, 1.0, dense_cap=10)
+        monkeypatch.setattr(system, "DENSE_CAP", 10)
+        nested = build_hierarchy(small_dataset_2d, 2, 1.0)
         assert direct._coarse_factor is not None and nested._coarse_factor is None
         b = rng.standard_normal(25)
         xd = coarse_solve(direct, b)
         xc = coarse_solve(nested, b)
         assert np.linalg.norm(xd - xc) <= 1e-8 * np.linalg.norm(xd)
 
-    def test_nested_cg_worse_than_zero_raises(self, rng):
+    def test_nested_cg_worse_than_zero_raises(self, rng, monkeypatch):
         # level 1 has 49 unknowns and condition number near 1e14
+        monkeypatch.setattr(system, "DENSE_CAP", 1)
         data = generate_dataset(2, 3000, 0.1, seed=3)
-        hier = build_hierarchy(data, 2, 1e-8, degrees=5, dense_cap=1)
+        hier = build_hierarchy(data, 2, 1e-8, degrees=5)
         assert hier._coarse_factor is None
         b = rng.standard_normal(hier.levels[0].size)
-        with pytest.raises(NumericError, match=r"level 1 \(size 49\).*dense_cap"):
+        with pytest.raises(NumericError, match=r"level 1 \(size 49\).*DENSE_CAP = 1"):
             coarse_solve(hier, b)
 
-    def test_nested_cg_short_of_its_tolerance_still_serves(self):
+    def test_nested_cg_short_of_its_tolerance_still_serves(self, monkeypatch):
         # the nested solve misses COARSE_CG_TOL here but is far better than
         # zero, and MGCG converges with it
+        monkeypatch.setattr(system, "DENSE_CAP", 1)
         data = generate_dataset(2, 500, 0.1, seed=0)
-        hier = build_hierarchy(data, 4, 1e8, degrees=5, dense_cap=1)
+        hier = build_hierarchy(data, 4, 1e8, degrees=5)
         report = mgcg_solve(hier, cfg=SolverConfig(max_iterations=2000))
         assert report.converged
 
 
 class TestNestedCoarseCG:
-    def test_is_the_package_cg(self, small_dataset_2d, rng):
-        hier = build_hierarchy(small_dataset_2d, 2, 1.0, dense_cap=10)
+    def test_is_the_package_cg(self, small_dataset_2d, rng, monkeypatch):
+        monkeypatch.setattr(system, "DENSE_CAP", 10)
+        hier = build_hierarchy(small_dataset_2d, 2, 1.0)
         b = rng.standard_normal(25)
         cfg = SolverConfig(tolerance=COARSE_CG_TOL, max_iterations=20 * 25, preconditioner="none")
         npt.assert_array_equal(coarse_solve(hier, b), cg_solve(hier.levels[0], b, cfg).coefficients)
 
-    def test_rejects_non_positive_curvature(self, small_dataset_2d, rng):
-        hier = build_hierarchy(small_dataset_2d, 2, 1.0, dense_cap=10)
+    def test_rejects_non_positive_curvature(self, small_dataset_2d, rng, monkeypatch):
+        monkeypatch.setattr(system, "DENSE_CAP", 10)
+        hier = build_hierarchy(small_dataset_2d, 2, 1.0)
         coarse = hier.levels[0]
         hier.levels[0] = LevelOperator(coarse.dataset, 1, 1.0, matrix=-coarse.matrix)
         with pytest.raises(NumericError, match="curvature"):

@@ -14,7 +14,7 @@ from splinemg import (
     generate_dataset,
     mgcg_solve,
 )
-from splinemg import multigrid
+from splinemg import multigrid, system
 from splinemg.multigrid import preconditioner
 from splinemg.solvers import _pcg
 from splinemg.system import BandPattern, LevelOperator
@@ -190,12 +190,14 @@ class TestMgcg:
             jacobi.peak_auxiliary_memory_estimate + copies
         )
 
-    def test_precond_mg_ssor_runs_above_dense_cap(self, small_dataset_2d):
+    def test_precond_mg_ssor_runs_above_dense_cap(self, small_dataset_2d, monkeypatch):
         # the finest level (K=121) is larger than the cap, its band (4,225
         # entries) within the cap's 100 x 100
-        hier = build_hierarchy(small_dataset_2d, 3, 1.0, dense_cap=100)
-        assert hier.finest.size > hier.dense_cap
-        rep = mgcg_solve(hier, cfg=SolverConfig(tolerance=1e-10, preconditioner="mg-ssor"))
+        with monkeypatch.context() as patch:
+            patch.setattr(system, "DENSE_CAP", 100)
+            hier = build_hierarchy(small_dataset_2d, 3, 1.0)
+            assert hier.finest.size > system.DENSE_CAP
+            rep = mgcg_solve(hier, cfg=SolverConfig(tolerance=1e-10, preconditioner="mg-ssor"))
         assert rep.converged
         reference = build_hierarchy(small_dataset_2d, 3, 1.0)
         exact = np.linalg.solve(reference.finest.assemble_dense(), reference.finest.rhs())
@@ -203,7 +205,8 @@ class TestMgcg:
 
     def test_precond_mg_ssor_band_cap_checked_before_building(self, small_dataset_2d,
                                                               monkeypatch):
-        hier = build_hierarchy(small_dataset_2d, 3, 1.0, dense_cap=60)
+        monkeypatch.setattr(system, "DENSE_CAP", 60)
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0)
 
         def forbidden(*args):
             raise AssertionError("built a band CSR or triangle before the cap check")
@@ -217,7 +220,8 @@ class TestMgcg:
     def test_precond_mg_ssor_band_cap_reads_a_galerkin_level_band(self, monkeypatch):
         # every level of this 1D hierarchy is CSR, all but the finest
         # Galerkin products; the guard counts level 2's band from its spaces
-        hier = build_hierarchy(generate_dataset(1, 20000, 0.1, seed=0), 4, 1.0, dense_cap=6)
+        monkeypatch.setattr(system, "DENSE_CAP", 6)
+        hier = build_hierarchy(generate_dataset(1, 20000, 0.1, seed=0), 4, 1.0)
         level = hier.level(2)
         assert level.storage == "csr" and level.matrix.nnz == BandPattern(level.spaces).nnz == 37
         monkeypatch.setattr(LevelOperator, "band_csr", lambda *args: pytest.fail("built"))

@@ -68,6 +68,12 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="finite and positive"):
             build_hierarchy(small_dataset_2d, 3, lam)
 
+    @pytest.mark.parametrize("shape", [(300, 0), (300, 2, 2)], ids=["no-axes", "3-d"])
+    def test_rejects_points_that_are_not_1d_or_2d_with_axes(self, shape):
+        points = np.random.default_rng(0).random(shape)
+        with pytest.raises(ShapeError, match=re.escape(f"got {shape}")):
+            ScatteredDataset(points, np.zeros(300))
+
     def test_rejects_out_of_domain_points(self):
         pts = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, -0.2]])
         with pytest.raises(DomainError) as err:
@@ -295,10 +301,11 @@ class TestAssembleDense:
         op = build_level(small_dataset_2d, 2, 1.0)
         assert np.linalg.eigvalsh(op.assemble_dense()).min() > 0.0
 
-    def test_capacity_error(self, small_dataset_2d):
+    def test_capacity_error(self, small_dataset_2d, monkeypatch):
         op = build_level(small_dataset_2d, 5, 1.0)
+        monkeypatch.setattr(system, "DENSE_CAP", 100)
         with pytest.raises(CapacityError):
-            op.assemble_dense(cap=100)
+            op.assemble_dense()
 
     @pytest.mark.parametrize("level,degrees", [
         (3, (3,)), (3, (3, 3)), (2, (3, 3, 3)), (2, (3, 2, 4)),
