@@ -15,13 +15,18 @@ optional header line are skipped.  A fit writes into its output directory:
 * ``grid.txt``        -- optional prediction grid (``--grid N`` points/axis).
 
 The text files keep ``np.savetxt``'s exact format (``%.17g`` unless noted)
-and are written in row blocks by `datasets.write_table`.
+byte for byte.  They are written by `datasets.write_table`, which accepts
+only ``%.17g`` and ``%.17e`` and formats a block of rows at once with a numpy
+kernel; the entries it cannot prove (non-finite, zero, outside
+``[1e-250, 1e250]``, or near a decimal tie) go through Python's ``%``.
 
 ``predict`` consumes a fit directory and raw-coordinate points; coordinates
 are mapped through the stored per-axis affine scaling before evaluation.
 Points that map outside the fitted box get ``nan`` (their count goes to
 stderr); non-finite coordinates are an error, and so is a ``report.json``
-whose spaces or scaling maps miss a key or hold a malformed one.
+whose spaces or scaling maps miss a key or hold a malformed one: a number
+beyond the double range, or a level with more B-splines than
+``coefficients.txt`` holds.
 
 A subcommand accepts only the flags it reads, each defaulting to its
 `RunConfig` field: ``generate`` the dataset flags, ``analyze`` all but the
@@ -315,12 +320,15 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _read_model(path):
-    """Axis spaces and per-axis scaling maps of a fit's ``report.json``.
+def _read_model(path, size):
+    """Axis spaces and per-axis scaling maps of a fit's ``report.json``,
+    whose coefficient file holds ``size`` entries.
 
-    A missing or malformed key, or a scaling map that is not finite with
-    ``lo < hi``, raises `ParameterError` naming the file and the key; a file
-    that is not JSON raises ``ValueError``."""
+    A missing or malformed key raises `ParameterError` naming the file and
+    the key: a number beyond the double range, a scaling map that is not
+    finite with ``lo < hi``, or a level with more B-splines than ``size``,
+    which is refused before its space is built.  A file that is not JSON
+    raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
 
@@ -333,11 +341,21 @@ def _read_model(path):
             raise ParameterError(f"{path}: key {name!r} must be {what}, got {value!r}")
         return value
 
-    number, spaces = (int, float), []
+    def number(entry, name):
+        try:
+            return float(field(entry, name, (int, float), "a number"))
+        except OverflowError:  # a JSON integer beyond the double range
+            raise ParameterError(f"{path}: key {name!r} must be a finite number, got an "
+                                 "integer beyond the double range") from None
+
+    spaces = []
     for i, s in enumerate(field(report, "spaces", list, "a non-empty list")):
         name = f"spaces[{i}]"
-        lower, upper = (field(s, f"{name}.{k}", number, "a number") for k in ("lower", "upper"))
+        lower, upper = (number(s, f"{name}.{k}") for k in ("lower", "upper"))
         level, degree = (field(s, f"{name}.{k}", int, "an integer") for k in ("level", "degree"))
+        if level > size.bit_length():  # 2**level alone exceeds size
+            raise ParameterError(f"{path}: key '{name}.level' is {level}: its 2**{level} + "
+                                 f"{degree} B-splines exceed the {size} coefficients")
         try:
             spaces.append(build_space(lower, upper, level, degree))
         except ParameterError as exc:
@@ -346,17 +364,19 @@ def _read_model(path):
     if len(scaling) != len(spaces):
         raise ParameterError(f"{path}: key 'scaling' has {len(scaling)} entries for "
                              f"{len(spaces)} spaces")
+    scale = []
     for i, s in enumerate(scaling):
-        lo, hi = (field(s, f"scaling[{i}].{k}", number, "a number") for k in ("lo", "hi"))
+        lo, hi = (number(s, f"scaling[{i}].{k}") for k in ("lo", "hi"))
         if not -np.inf < lo < hi < np.inf:
             raise ParameterError(f"{path}: key 'scaling[{i}]' must be finite with lo < hi, "
                                  f"got {s!r}")
-    return tuple(spaces), scaling
+        scale.append({"lo": lo, "hi": hi})
+    return tuple(spaces), scale
 
 
 def _cmd_predict(args) -> int:
-    spaces, scaling = _read_model(os.path.join(args.model, "report.json"))
     alpha = np.loadtxt(os.path.join(args.model, "coefficients.txt"), ndmin=1)
+    spaces, scaling = _read_model(os.path.join(args.model, "report.json"), alpha.size)
     table = read_table(args.input)
     dim = len(spaces)
     if table.shape[1] not in (dim, dim + 1):

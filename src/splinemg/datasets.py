@@ -1,11 +1,18 @@
 """Synthetic test data and delimited-text table I/O.
 
 Tables are written by `write_table` in `np.savetxt`'s exact format (one
-space between columns, an optional ``# `` header line), but formatted a
-block of ``BLOCK_ROWS`` rows at a time instead of one row per call.  They
+space between columns, an optional ``# `` header line) with ``%.17g`` or
+``%.17e`` entries, formatted a block of ``BLOCK_ROWS`` rows at a time by a
+numpy kernel instead of one ``%`` per entry.  The kernel rounds each entry
+to its 17 or 18 significant digits exactly and hands the entries it cannot
+prove (non-finite values, zeros, magnitudes outside ``[1e-250, 1e250]`` and
+near-ties) to Python's own ``%``, so the bytes are those of ``%``.  Tables
 are read back by `read_table`, which also takes comma-separated files.
 """
 from __future__ import annotations
+
+import functools
+from fractions import Fraction
 
 import numpy as np
 
@@ -13,6 +20,18 @@ from .errors import ParameterError, check_integer
 from .system import ScatteredDataset
 
 BLOCK_ROWS = 8192
+
+# the accepted ``fmt`` values and their significant digits D
+FORMAT_DIGITS = {"%.17g": 17, "%.17e": 18}
+# magnitudes the kernel formats; its products neither overflow nor underflow there
+FAST_RANGE = (1e-250, 1e250)
+# a scaled entry whose distance to the nearest integer lies within this of
+# one half may be a decimal tie, which only ``%`` rounds reliably; the
+# kernel's scaled entries are within 1e-13 of the exact ones
+TIE_MARGIN = 1e-9
+# 10**j is tabled for MIN_POW10 <= j <= MAX_POW10: the exponents k of
+# FAST_RANGE, k + 1, and the scales D - 1 - k
+MIN_POW10, MAX_POW10 = -251, 268
 
 
 def sigmoid_target(points: np.ndarray) -> np.ndarray:
@@ -60,21 +79,149 @@ def write_table(path, table, fmt="%.17g", header=None) -> None:
     """Write a 1D (one column) or 2D array as text, byte for byte as
     ``np.savetxt(path, table, fmt=fmt, header=header or "")`` would.
 
-    ``fmt`` is one ``%`` conversion applied to every entry; columns are
-    separated by one space.  A non-empty ``header`` is written first as a
-    ``# `` comment line.  Each block of ``BLOCK_ROWS`` rows is formatted by
-    a single ``%`` over the block's entries.
+    ``fmt`` is ``"%.17g"`` or ``"%.17e"``, applied to every entry; any other
+    format raises `ParameterError`.  Columns are separated by one space.  A
+    non-empty ``header`` is written first as a ``# `` comment line.  Each
+    block of ``BLOCK_ROWS`` rows is formatted at once by `_format_block`.
     """
-    table = np.asarray(table)
+    if fmt not in FORMAT_DIGITS:
+        raise ParameterError(f"table format must be one of {sorted(FORMAT_DIGITS)}, got {fmt!r}")
+    table = np.asarray(table, dtype=np.float64)
     if table.ndim == 1:
         table = table[:, None]
-    line = " ".join([fmt] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         if header:
-            fh.write("# " + header.replace("\n", "\n# ") + "\n")
+            fh.write(("# " + header.replace("\n", "\n# ") + "\n").encode("utf-8"))
         for start in range(0, table.shape[0], BLOCK_ROWS):
-            block = table[start : start + BLOCK_ROWS]
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(table[start : start + BLOCK_ROWS], fmt))
+
+
+@functools.cache
+def _pow10_table():
+    """``10**j`` for ``MIN_POW10 <= j <= MAX_POW10`` as exact float pairs:
+    ``hi`` the nearest double, ``lo`` the nearest double to ``10**j - hi``,
+    and ``hi``'s Veltkamp halves."""
+    exact = [Fraction(10) ** j for j in range(MIN_POW10, MAX_POW10 + 1)]
+    hi = np.array([float(f) for f in exact])
+    lo = np.array([float(f - Fraction(h)) for f, h in zip(exact, hi.tolist())])
+    tables = (hi, lo, *_split(hi))
+    for table in tables:  # shared by every caller
+        table.setflags(write=False)
+    return tables
+
+
+def _split(a):
+    """Veltkamp split: ``a == head + tail`` with 26-bit halves, so that
+    products of halves are exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    head = c - (c - a)
+    return head, a - head
+
+
+def _at_least_pow10(a, j):
+    """``a >= 10**j`` exactly: ``hi`` is the double nearest ``10**j``, so no
+    other double lies between them."""
+    hi, lo = _pow10_table()[:2]
+    hi_j = hi[j - MIN_POW10]
+    return (a > hi_j) | ((a == hi_j) & (lo[j - MIN_POW10] <= 0))
+
+
+def _significand(x, digits):
+    """Decimal exponent ``k`` and significand ``N`` of each entry of ``x``:
+    ``N = round(|x| * 10**(digits - 1 - k))`` in ``[10**(digits - 1),
+    10**digits)``, and whether that is proven.  It is for ``|x|`` in
+    ``FAST_RANGE`` whose scaled tail lies farther than ``TIE_MARGIN`` from a
+    half; other entries get an arbitrary ``(k, N)``."""
+    hi, lo, head, tail = _pow10_table()
+    a = np.abs(x)
+    in_range = (a >= FAST_RANGE[0]) & (a <= FAST_RANGE[1])
+    a = np.where(in_range, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    k -= ~_at_least_pow10(a, k)  # log10 may round across a power of ten
+    k += _at_least_pow10(a, k + 1)
+    s = digits - 1 - k - MIN_POW10
+    # a * 10**s = p + err + a * lo[s], with p + err = a * hi[s] exactly (Dekker);
+    # the tail t is within 1e-13 of exact, and p >= 10**16 is an integer
+    p = a * hi[s]
+    a_head, a_tail = _split(a)
+    err = ((a_head * head[s] - p) + a_head * tail[s] + a_tail * head[s]) + a_tail * tail[s]
+    t = err + a * lo[s]
+    r = np.rint(t)
+    proven = in_range & (np.abs(t - r) < 0.5 - TIE_MARGIN)
+    n = p.astype(np.int64) + r.astype(np.int64)
+    carry = n == 10**digits  # rounded up into the next decade
+    n[carry] = 10 ** (digits - 1)
+    return k + carry, n, proven
+
+
+def _digit_chars(n, digits):
+    """ASCII digits of each ``n < 10**18``, one row per entry, from its two
+    ``uint32`` halves of at most nine digits each."""
+    out = np.empty((n.size, digits), np.uint8)
+    upper, lower = (half.astype(np.uint32) for half in np.divmod(n, 10**9))
+    for half, last in ((lower, digits - 1), (upper, digits - 10)):
+        for col in range(last, max(last - 9, -1), -1):
+            quotient = half // 10
+            out[:, col] = half - quotient * 10 + 48
+            half = quotient
+    return out
+
+
+def _format_block(block, fmt) -> bytes:
+    """``(line * rows) % tuple(block.ravel())`` for a 2D float64 ``block``,
+    where ``line`` is ``fmt`` once per column, space separated, ending in a
+    newline, and ``fmt`` is ``"%.17g"`` or ``"%.17e"``.
+
+    Each entry's text is laid out in its own row of an ``(entries, D + 8)``
+    byte array, padded with NULs that are deleted at the end.  Entries
+    sharing a decimal exponent share their column positions, so each such
+    group is filled by slices.  ``%g`` writes ``k < -4`` or ``k >= 17`` in
+    scientific notation and strips trailing zeros after the point, and the
+    point when nothing follows it; exponents have at least two digits.
+    Entries the kernel cannot prove are formatted by ``fmt % x`` in place.
+    """
+    digits = FORMAT_DIGITS[fmt]
+    general = fmt == "%.17g"
+    x = block.ravel()
+    if x.size == 0:  # rows without columns
+        return b"\n" * block.shape[0]
+    k, n, proven = _significand(x, digits)
+    chars = _digit_chars(n, digits)
+    if general:
+        # keep the digits through the last nonzero one, and every integer digit
+        kept = digits - np.argmax(chars[:, ::-1] != 48, axis=1)
+        kept = np.maximum(kept, np.where((k >= 0) & (k < digits), k + 1, 1))
+        chars[np.arange(digits) >= kept[:, None]] = 0
+    order = np.argsort(k, kind="stable")
+    k, chars = k[order], chars[order]
+    text = np.zeros((x.size, digits + 8), np.uint8)
+    text[:, 0] = np.where(x[order] < 0, 45, 0)  # "-"
+    bounds = np.flatnonzero(np.diff(k)) + 1
+    for first, last in zip([0, *bounds], [*bounds, x.size]):
+        e = int(k[first])
+        rows, c = text[first:last], chars[first:last]
+        if e < -4 or e >= digits or not general:
+            exponent = np.frombuffer(b"e%+03d" % e, np.uint8)
+            rows[:, 1], rows[:, 3 : digits + 2] = c[:, 0], c[:, 1:]
+            rows[:, 2] = np.where(c[:, 1] != 0, 46, 0)  # "."
+            rows[:, digits + 2 : digits + 2 + exponent.size] = exponent
+        elif e >= 0:
+            rows[:, 1 : e + 2], rows[:, e + 3 : digits + 2] = c[:, : e + 1], c[:, e + 1 :]
+            if e + 1 < digits:
+                rows[:, e + 2] = np.where(c[:, e + 1] != 0, 46, 0)
+        else:
+            prefix = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+            rows[:, 1 : prefix.size + 1] = prefix
+            rows[:, prefix.size + 1 : prefix.size + 1 + digits] = c
+    out = np.empty_like(text)
+    out[order] = text
+    out[:, -1] = 32  # " " between columns, "\n" after the last
+    out[block.shape[1] - 1 :: block.shape[1], -1] = 10
+    for i in np.flatnonzero(~proven):
+        entry = (fmt % x[i]).encode("ascii")
+        out[i, :-1] = 0
+        out[i, : len(entry)] = np.frombuffer(entry, np.uint8)
+    return out.tobytes().translate(None, b"\0")
 
 
 def read_table(path) -> np.ndarray:

@@ -549,8 +549,20 @@ class TestPredict:
          "'scaling[0]' must be finite with lo < hi"),
         (lambda r: {**r, "scaling": [r["scaling"][0], {"lo": 0.0, "hi": float("inf")}]},
          "'scaling[1]' must be finite with lo < hi"),
+        # JSON integers beyond the double range
+        (lambda r: {**r, "scaling": [{"lo": 0, "hi": 10**400}, r["scaling"][1]]},
+         "'scaling[0].hi' must be a finite number"),
+        (lambda r: {**r, "spaces": [{**r["spaces"][0], "upper": 10**400}, r["spaces"][1]]},
+         "'spaces[0].upper' must be a finite number"),
+        # levels that cannot match the 121 coefficients, refused before the
+        # 2**level knots are allocated
+        (lambda r: {**r, "spaces": [{**r["spaces"][0], "level": 40}, r["spaces"][1]]},
+         "'spaces[0].level' is 40"),
+        (lambda r: {**r, "spaces": [r["spaces"][0], {**r["spaces"][1], "level": 60}]},
+         "'spaces[1].level' is 60"),
     ], ids=["empty", "no-spaces", "str-level", "float-level", "degree", "no-hi", "short",
-            "empty-scaling", "reversed-scaling", "nan-scaling", "inf-scaling"])
+            "empty-scaling", "reversed-scaling", "nan-scaling", "inf-scaling", "huge-hi",
+            "huge-upper", "level-40", "level-60"])
     def test_malformed_model_exit_code(self, fit_dir, tmp_path, capsys, edit, key):
         report = json.loads((fit_dir / "report.json").read_text())
         model = tmp_path / "model"

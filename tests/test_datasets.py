@@ -1,9 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from splinemg import ParameterError, generate_dataset, read_dataset, sigmoid_target, write_dataset
-from splinemg.datasets import BLOCK_ROWS, read_table, write_table
+from splinemg import datasets
+from splinemg.datasets import BLOCK_ROWS, FORMAT_DIGITS, read_table, write_table
 
 
 class TestSigmoidTarget:
@@ -132,3 +136,50 @@ class TestWriteTable:
     def test_row_counts_around_the_block_size(self, tmp_path, rng, rows):
         self.assert_same_bytes(tmp_path, rng.standard_normal((rows, 2)), header="x1 y")
         self.assert_same_bytes(tmp_path, rng.standard_normal(rows), fmt="%.17e")
+
+    @given(st.sampled_from(sorted(FORMAT_DIGITS)),
+           arrays(np.uint64, st.tuples(st.integers(1, 20), st.integers(1, 3))))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bit_patterns(self, tmp_path_factory, fmt, bits):
+        # every float64: nan payloads, subnormals, both zeros, infinities
+        self.assert_same_bytes(tmp_path_factory.mktemp("bits"), bits.view(np.float64), fmt)
+
+    @staticmethod
+    def hard_values(rng):
+        """Entries at the kernel's edges: decimal ties, decades and their
+        neighbours, the fixed/scientific switch and the fast-path range."""
+        ties = (rng.integers(4 * 10**15, 9 * 10**15, 400) | 1) / 4.0  # 17-digit ties
+        # odd multiples of 2**-j include 17- and 18-digit ties whose scale
+        # 10**s is not a double, e.g. 2**-25 = 2.98023223876953125e-08
+        small_ties = np.ldexp(np.arange(1.0, 100.0, 2.0)[:, None], -np.arange(20, 90)).ravel()
+        decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        upper = np.array([float(f"9.9999999999999999{d}e{k}")  # round up to the next decade
+                          for k in range(-300, 301) for d in ("", "5")])
+        switch = np.concatenate([rng.uniform(1, 10, 50) * 10.0**k for k in (-5, -4, 16, 17)])
+        three_digit = rng.uniform(1, 10, 50) * 10.0 ** rng.integers(100, 300, 50)
+        edges = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072009e-308,
+                          2.2250738585072014e-308, 1.7976931348623157e308, 1e-250, 1e250])
+        values = np.concatenate([ties, small_ties, decades, upper, switch, three_digit,
+                                 1 / three_digit, edges])
+        with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+            values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+        return np.concatenate([values, -values])
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.17e"])
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_hard_values(self, tmp_path, rng, fmt, columns):
+        values = self.hard_values(rng)
+        table = values[: values.size // columns * columns].reshape(-1, columns)
+        self.assert_same_bytes(tmp_path, table, fmt)
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.17e"])
+    def test_random_blocks_take_no_fallback(self, rng, fmt):
+        # the kernel, not Python's `%`, must format ordinary data
+        for block in (rng.random((BLOCK_ROWS, 2)), rng.standard_normal((BLOCK_ROWS, 2))):
+            proven = datasets._significand(block.ravel(), FORMAT_DIGITS[fmt])[2]
+            assert proven.all()
+
+    @pytest.mark.parametrize("fmt", ["%.16g", "%.17f", "%.17g ", "%s", "%r"])
+    def test_other_formats_are_refused(self, tmp_path, fmt):
+        with pytest.raises(ParameterError, match="table format"):
+            write_table(tmp_path / "t.txt", np.ones(3), fmt=fmt)
