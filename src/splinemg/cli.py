@@ -26,7 +26,7 @@ Points that map outside the fitted box get ``nan`` (their count goes to
 stderr); non-finite coordinates are an error, and so is a ``report.json``
 whose spaces or scaling maps miss a key or hold a malformed one: a number
 beyond the double range, or a level with more B-splines than
-``coefficients.txt`` holds.
+``coefficients.txt`` holds, which must be one column of finite numbers.
 
 A subcommand accepts only the flags it reads, each defaulting to its
 `RunConfig` field: ``generate`` the dataset flags, ``analyze`` all but the
@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_points(cfg: RunConfig):
-    """Dataset plus the per-axis affine maps onto the unit cube."""
+    """Dataset plus the per-axis affine maps onto the unit cube; ``cfg.dim``
+    becomes the dataset's dimension, which every command then echoes."""
     if cfg.input is None:
         data = generate_dataset(cfg.dim, cfg.n, cfg.noise, cfg.seed)
         scale = [{"lo": 0.0, "hi": 1.0} for _ in range(cfg.dim)]
@@ -194,6 +195,7 @@ def _load_points(cfg: RunConfig):
     span = np.where(hi > lo, hi - lo, 1.0)
     scaled = (points - lo) / span
     scale = [{"lo": float(l), "hi": float(l + s)} for l, s in zip(lo, span)]
+    cfg.dim = points.shape[1]
     return ScatteredDataset(scaled, responses), scale
 
 
@@ -220,8 +222,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
         raise ParameterError("fit requires --output")
     t0 = time.perf_counter()
     data, scale = _load_points(cfg)
-    if data.num_axes != cfg.dim and cfg.input is not None:
-        cfg.dim = data.num_axes
     hier = cfg.hierarchy(data)
     report_solve = mgcg_solve(hier, cfg=cfg.solver_config())
     alpha = report_solve.coefficients
@@ -375,7 +375,15 @@ def _read_model(path, size):
 
 
 def _cmd_predict(args) -> int:
-    alpha = np.loadtxt(os.path.join(args.model, "coefficients.txt"), ndmin=1)
+    path = os.path.join(args.model, "coefficients.txt")
+    alpha = read_table(path)
+    if alpha.shape[1] != 1:
+        raise ShapeError(f"{path}: expected one coefficient per line, got {alpha.shape[1]} columns")
+    alpha = alpha[:, 0]
+    bad = np.flatnonzero(~np.isfinite(alpha))
+    if bad.size:
+        raise ParameterError(f"{path}: data line {bad[0] + 1} holds {alpha[bad[0]]}, "
+                             "not a finite coefficient")
     spaces, scaling = _read_model(os.path.join(args.model, "report.json"), alpha.size)
     table = read_table(args.input)
     dim = len(spaces)

@@ -242,8 +242,11 @@ def build_hierarchy(
     # `ParameterError`, so numpy's warnings on the way there are left out
     with np.errstate(over="ignore", invalid="ignore"):
         if assembled:
-            levels[assembled - 1] = LevelOperator(dataset, assembled, lam, degrees).assemble(
-                keep_rhs=assembled == num_levels)
+            windows = LevelOperator(dataset, assembled, lam, degrees)
+            levels[assembled - 1] = LevelOperator(
+                dataset, assembled, lam, degrees, matrix=windows.band_csr(),
+                rhs=windows.rhs() if assembled == num_levels else None)
+            del windows
         for g in range(assembled - 1, 0, -1):
             matrix = galerkin_product(levels[g].matrix, transfers[g - 1])
             levels[g - 1] = LevelOperator(dataset, g, lam, degrees, matrix=matrix)

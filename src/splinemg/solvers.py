@@ -109,32 +109,23 @@ def _pcg(op, b, precond, tol, maxiter, aux_bytes, label):
     direction update ``p = z + (r'z / r~'z~) p``; ``precond=None`` runs
     plain CG (then ``z`` aliases ``r`` and no copy is made).  The rounding
     floor takes one ``op.abs_apply`` at the end.  A solve converges when the
-    recursive residual reaches ``tol`` and the true one is below ``||b||``."""
+    recursive residual reaches ``tol`` and the true one is below ``||b||``;
+    ``b = 0`` takes no product and reports 0 iterations, 0 residuals and
+    floor, and four vectors."""
     t0 = time.perf_counter()
     apply_fn = op.apply
     b = np.ascontiguousarray(b, dtype=np.float64)
     norm_b = float(np.linalg.norm(b))
     history = [norm_b]
     x = np.zeros_like(b)
-    if norm_b == 0.0:
-        return SolveReport(
-            iterations=0,
-            residual_history=np.array(history),
-            wall_time=time.perf_counter() - t0,
-            peak_auxiliary_memory_estimate=aux_bytes + 4 * b.nbytes,
-            converged=True,
-            coefficients=x,
-            true_relative_residual=0.0,
-            rounding_floor=0.0,
-            label=label,
-        )
-    r = b.copy()
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = float(r @ z)
-    converged = False
+    converged = norm_b == 0.0
     k = 0
-    while k < maxiter:
+    if not converged:
+        r = b.copy()
+        z = precond(r) if precond is not None else r
+        p = z.copy()
+        rz = float(r @ z)
+    while not converged and k < maxiter:
         v = apply_fn(p)
         pv = float(p @ v)
         if not np.isfinite(pv) or pv <= 0.0:
@@ -157,8 +148,8 @@ def _pcg(op, b, precond, tol, maxiter, aux_bytes, label):
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    n_vec = 4 if precond is None else 5
-    true_residual = float(np.linalg.norm(b - apply_fn(x))) / norm_b
+    n_vec = 5 if precond is not None and norm_b else 4
+    true_residual = float(np.linalg.norm(b - apply_fn(x))) / norm_b if norm_b else 0.0
     floor = rounding_floor(op, x, b)
     return SolveReport(
         iterations=k,

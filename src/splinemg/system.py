@@ -5,20 +5,20 @@ equations read ``(B'B + lam * R) alpha = B'y`` where ``B`` holds the tensor
 basis evaluated at the data and ``R`` is the thin-plate style roughness
 penalty built from all pure and mixed second-order derivative Gram matrices.
 
-`LevelOperator` holds the left-hand side in one of two storages.  The
-matrix-free one (``storage == "windows"``) keeps the per-point design
-windows and applies the data term with the window kernels and the penalty
-by Kronecker contractions, so its coefficient matrix is never formed.  The
-assembled one (``"csr"``) holds ``B'B + lam * R`` as one CSR matrix in the
-Kronecker band pattern (per axis the ``2q + 1`` diagonals of a degree-``q``
-space, `BandPattern`, with 32-bit indices where they fit) and keeps no
-per-point data.  `LevelOperator.band_csr` is a level's one source of that
-matrix: the stored one, or one built from the windows (cell-grouped data
-products plus the penalty bands).  `assemble` stores it (and, for a finest
-level, ``B'y`` of the training responses), `assemble_dense` densifies it,
-and the multigrid hierarchy derives coarser levels by Galerkin products and
-cuts its ``mg-ssor`` triangles from it.  Which levels are assembled, the
-finest one included, is the multigrid hierarchy's size rule.
+`LevelOperator` holds the left-hand side in one of two storages, fixed at
+construction.  The matrix-free one (``storage == "windows"``) keeps the
+per-point design windows and applies the data term with the window kernels
+and the penalty by Kronecker contractions, so its coefficient matrix is
+never formed.  The assembled one (``"csr"``) holds ``B'B + lam * R`` as one
+CSR matrix in the Kronecker band pattern (per axis the ``2q + 1`` diagonals
+of a degree-``q`` space, `BandPattern`, with 32-bit indices where they fit)
+and keeps no per-point data.  `LevelOperator.band_csr` is a level's one
+source of that matrix: the stored one, or one built from the windows
+(cell-grouped data products plus the penalty bands).  An assembled level is
+constructed from it (and, for a finest level, keeps ``B'y``), `assemble_dense`
+densifies it, and the multigrid hierarchy derives coarser levels by Galerkin
+products and cuts its ``mg-ssor`` triangles from it.  Which levels are
+assembled, the finest one included, is the multigrid hierarchy's size rule.
 """
 from __future__ import annotations
 
@@ -302,16 +302,17 @@ class LevelOperator:
 
     ``matrix=None`` builds the matrix-free level, which stores the design
     windows of every data point.  Otherwise ``matrix`` is the level's
-    assembled operator (CSR) and the level stores no windows: its
-    ``design`` holds zero points, and `rhs` and `fitted_values` evaluate the
-    basis at the data when called, except the default `rhs` of a level
-    that `assemble` told to keep ``B'y`` of the training responses.
-    Both storages keep the spaces, the penalty factors, ``lam`` and the
-    dataset.
+    assembled operator (CSR), for example the `band_csr` of a windows
+    level, and the level stores no windows: its ``design`` holds zero
+    points, and `rhs` and `fitted_values` evaluate the basis at the data
+    when called.  ``rhs``, a vector of length `size`, is kept as ``B'y`` of
+    the training responses, which the default `rhs()` then copies without a
+    data pass.  Both storages keep the spaces, the penalty factors, ``lam``
+    and the dataset, and a level's storage never changes.
     """
 
     def __init__(self, dataset: ScatteredDataset, level: int, lam: float, degrees=3,
-                 matrix=None):
+                 matrix=None, rhs=None):
         if not (np.isfinite(lam) and lam > 0):
             raise ParameterError(f"smoothing parameter must be finite and positive, got {lam}")
         self.degrees = normalize_degrees(degrees, dataset.num_axes)
@@ -325,31 +326,17 @@ class LevelOperator:
             raise ShapeError(f"level {level} needs a {self.size}x{self.size} matrix, "
                              f"got {matrix.shape}")
         self.matrix = matrix
+        self._rhs = None if rhs is None else self._check(rhs)  # B'y of the training responses
         points = dataset.points if matrix is None else dataset.points[:0]
         self.design = design_factors(self.spaces, points)
         self.penalty = penalty_terms(self.spaces)
         self.spectral_bound = None  # filled by `multigrid.jacobi_spectral_bound`
         self._diag = None
-        self._rhs = None  # B'y of the training responses, kept by `assemble`
 
     @property
     def storage(self) -> str:
         """``"windows"`` (matrix-free) or ``"csr"`` (assembled)."""
         return "windows" if self.matrix is None else "csr"
-
-    def assemble(self, keep_rhs: bool = False) -> "LevelOperator":
-        """Switch this level to CSR storage, built by `band_csr` from its
-        own windows and penalty factors, and drop the windows; returns the
-        level.  ``keep_rhs`` first forms ``B'y`` of the training responses
-        from the windows and keeps it, so that the default `rhs` evaluates
-        no basis later (the finest level's, which every solve reads)."""
-        if self.matrix is None:
-            self.matrix = self.band_csr()
-            if keep_rhs:
-                self._rhs = khatri_rao_matvec(self.design, self.dataset.responses)
-            self.design = design_factors(self.spaces, self.dataset.points[:0])
-            self._diag = None
-        return self
 
     def band_csr(self) -> scipy.sparse.csr_array:
         """``B'B + lam * R`` as CSR in the `BandPattern`: the stored matrix,
@@ -424,11 +411,14 @@ class LevelOperator:
         return out
 
     def rhs(self, y=None) -> np.ndarray:
-        """Right-hand side ``B'y`` (training responses by default; a copy of
-        the vector kept by ``assemble(keep_rhs=True)`` if there is one)."""
+        """Right-hand side ``B'y`` (training responses by default, a copy of
+        the kept ``rhs`` if there is one); a non-finite ``y`` raises `ParameterError`."""
         if y is None and self._rhs is not None:
             return self._rhs.copy()
         y = self.dataset.responses if y is None else self._check(y, self.dataset.n)
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise ParameterError(f"responses must be finite, y[{bad[0]}] is {y[bad[0]]}")
         design = self.design
         if self.matrix is not None:  # an assembled level stores no windows
             design = design_factors(self.spaces, self.dataset.points)

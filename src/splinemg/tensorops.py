@@ -137,22 +137,12 @@ class KhatriRaoFactors:
 
     @classmethod
     def from_dense(cls, factors) -> "KhatriRaoFactors":
+        """`from_windows` of dense ``(m_p, n)`` factors: zero offsets and
+        full-height windows."""
         mats = [_as_matrix(a) for a in factors]
-        n_cols = mats[0].shape[1]
-        if any(m.shape[1] != n_cols for m in mats):
-            raise ShapeError("all factors must share the column count")
-        counts = np.array([m.shape[0] for m in mats], dtype=np.int64)
-        values = np.zeros((n_cols, len(mats), int(counts.max())))
-        for p, m in enumerate(mats):
-            values[:, p, : m.shape[0]] = m.T
-        offsets = np.zeros((n_cols, len(mats)), dtype=np.int64)
-        return cls(
-            row_dims=tuple(int(c) for c in counts),
-            n_cols=n_cols,
-            counts=counts,
-            values=values,
-            offsets=offsets,
-        )
+        return cls.from_windows(row_dims=[m.shape[0] for m in mats],
+                                offsets=np.zeros((mats[0].shape[1], len(mats))),
+                                window_values=[m.T for m in mats])
 
     @classmethod
     def from_windows(cls, row_dims, offsets, window_values) -> "KhatriRaoFactors":

@@ -585,6 +585,33 @@ class TestPredict:
                     "--output", tmp_path / "p.txt"])
         assert code == cli.EXIT_IO
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_exit_code(self, fit_dir, tmp_path, capsys, bad):
+        path = fit_dir / "coefficients.txt"
+        lines = path.read_text().splitlines()
+        lines[3] = bad
+        path.write_text("\n".join(lines) + "\n")
+        queries = tmp_path / "q.txt"
+        queries.write_text("0.5 0.5\n")
+        code = run(["predict", "--model", fit_dir, "--input", queries,
+                    "--output", tmp_path / "p.txt"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}: data line 4 holds {float(bad)}, not a finite coefficient\n")
+        assert not (tmp_path / "p.txt").exists()
+
+    def test_two_column_coefficient_file_exit_code(self, fit_dir, tmp_path, capsys):
+        path = fit_dir / "coefficients.txt"
+        alpha = np.loadtxt(path)
+        np.savetxt(path, np.column_stack([alpha, alpha]), fmt="%.17e")
+        queries = tmp_path / "q.txt"
+        queries.write_text("0.5 0.5\n")
+        code = run(["predict", "--model", fit_dir, "--input", queries,
+                    "--output", tmp_path / "p.txt"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected one coefficient per line, got 2 columns\n")
+
     def test_non_finite_coordinates_exit_code(self, fit_dir, tmp_path):
         queries = tmp_path / "q.txt"
         queries.write_text("0.5 0.5\nnan 0.5\n")
@@ -602,6 +629,13 @@ class TestAnalyze:
         assert payload["operators"]["plain"]["condition_number"] > 1.0
         assert payload["spectral_radius"] < 1.0
         assert "mg-jacobi" in payload["operators"]
+
+    def test_config_echoes_the_dimension_of_the_input(self, tmp_path):
+        data = tmp_path / "d.txt"
+        assert run(["generate", "--dim", 1, "--n", 300, "--seed", 2, "--output", data]) == 0
+        out = tmp_path / "a.json"
+        assert run(["analyze", "--input", data, "--levels", 3, "--output", out]) == 0
+        assert json.loads(out.read_text())["config"]["dim"] == 1
 
     def test_radius_is_the_propagator_radius(self, tmp_path):
         # read from the mg-jacobi spectrum: I - M^-1 A has the eigenvalues 1 - eig(M^-1 A)

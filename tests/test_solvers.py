@@ -174,6 +174,34 @@ class TestMgcg:
         ref = dense_jacobi_vcycle(hier, r)
         npt.assert_allclose(z, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("precond", ["none", "mg-jacobi", "mg-ssor"])
+    def test_zero_rhs_report(self, small_dataset_2d, precond, monkeypatch):
+        hier = build_hierarchy(small_dataset_2d, 3, 1.0)
+        k = hier.finest.size
+        _, stored = preconditioner(hier, precond)
+        aux = 8 * hier.finest.design.rel.shape[0] if precond == "none" else (
+            8 * (hier.workspace_reals() + k) + stored)
+        # b = 0 ends before any product with the operator or a V-cycle
+        monkeypatch.setattr(LevelOperator, "apply", None)
+        rep = mgcg_solve(hier, np.zeros(small_dataset_2d.n), SolverConfig(preconditioner=precond))
+        assert (rep.iterations, rep.converged, rep.true_relative_residual,
+                rep.rounding_floor, rep.final_relative_residual) == (0, True, 0.0, 0.0, 0.0)
+        npt.assert_array_equal(rep.residual_history, [0.0])
+        npt.assert_array_equal(rep.coefficients, np.zeros(k))
+        # four CG vectors, with or without a preconditioner
+        assert rep.peak_auxiliary_memory_estimate == aux + 4 * 8 * k
+
+    @pytest.mark.parametrize("dataset,storage", [("small_dataset_2d", "windows"),
+                                                 ("small_dataset_1d", "csr")])
+    def test_non_finite_responses_refused_before_the_solve(self, dataset, storage, request):
+        data = request.getfixturevalue(dataset)
+        hier = build_hierarchy(data, 3, 1.0)
+        assert hier.finest.storage == storage
+        y = data.responses.copy()
+        y[-1] = np.nan
+        with pytest.raises(ParameterError, match="responses must be finite"):
+            mgcg_solve(hier, y)
+
     def test_precond_mg_ssor_memory_counts_csr_copies(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 3, 1.0)
         k = hier.finest.size

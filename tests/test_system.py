@@ -30,6 +30,14 @@ from conftest import make_dataset
 from oracles import dense_rhs, dense_system_matrix, dense_tensor_design
 
 
+def assembled_level(data, level, lam, degrees=3, with_rhs=False):
+    """The CSR level built from the `band_csr` (and, with ``with_rhs``, the
+    `rhs`) of a windows level, as `build_hierarchy` builds one."""
+    windows = LevelOperator(data, level, lam, degrees)
+    return LevelOperator(data, level, lam, degrees, matrix=windows.band_csr(),
+                         rhs=windows.rhs() if with_rhs else None)
+
+
 class TestConstruction:
     def test_system_dimension_2d_level5(self, small_dataset_2d):
         assert build_level(small_dataset_2d, 5, 1.0).size == 1225
@@ -176,6 +184,21 @@ class TestRhs:
         op = build_level(small_dataset_2d, 3, 1.0)
         npt.assert_array_equal(op.rhs(np.zeros(small_dataset_2d.n)), np.zeros(op.size))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_responses_refused(self, small_dataset_2d, bad):
+        y = small_dataset_2d.responses.copy()
+        y[7] = bad
+        for op in (build_level(small_dataset_2d, 3, 1.0),
+                   assembled_level(small_dataset_2d, 3, 1.0, with_rhs=True)):
+            with pytest.raises(ParameterError, match=r"responses must be finite, y\[7\]"):
+                op.rhs(y)
+
+    def test_kept_rhs_is_shape_checked(self, small_dataset_2d):
+        windows = build_level(small_dataset_2d, 3, 1.0)
+        with pytest.raises(ShapeError, match="expected vector of length 121"):
+            LevelOperator(small_dataset_2d, 3, 1.0, matrix=windows.band_csr(),
+                          rhs=windows.rhs()[:-1])
+
     def test_single_point_scatters_activation(self):
         # Definition check of B'y for one observation: with linear splines the
         # hat-function weights land verbatim at the active offset.  (Degree 1
@@ -204,7 +227,7 @@ class TestRhs:
 
     def test_assembled_level_keeps_rhs_of_training_responses(self, monkeypatch, rng):
         data = make_dataset(2, 300, seed=12)
-        op = LevelOperator(data, 3, 1.0).assemble(keep_rhs=True)
+        op = assembled_level(data, 3, 1.0, with_rhs=True)
         kept = op.rhs()
         npt.assert_allclose(kept, dense_rhs(op), rtol=1e-12, atol=1e-12)
         penalty = sum(stored_bytes(g) for t in op.penalty for g in t.factors)
@@ -232,7 +255,7 @@ class TestAbsApply:
             for t in op.penalty)
         windows = op.abs_apply(v)
         npt.assert_allclose(windows, (design.T @ design + penalty_bound) @ v, rtol=1e-12)
-        assembled = op.assemble().abs_apply(v)
+        assembled = assembled_level(data, 2, 0.7).abs_apply(v)
         npt.assert_allclose(assembled, np.abs(dense_system_matrix(op)) @ v, rtol=1e-12)
         assert np.all(assembled <= windows * (1 + 1e-12))
 
@@ -258,7 +281,7 @@ class TestDiagonal:
     @pytest.mark.parametrize("lam", [1e308, 1e306])
     def test_overflowing_lambda_names_it(self, small_dataset_2d, lam):
         message = re.escape(f"smoothing parameter {lam:g} overflows")
-        for make in (build_level, lambda *a: LevelOperator(*a).assemble()):
+        for make in (build_level, assembled_level):
             with pytest.raises(ParameterError, match=message):
                 with np.errstate(over="ignore", invalid="ignore"):
                     make(small_dataset_2d, 3, lam).diagonal()
@@ -266,7 +289,7 @@ class TestDiagonal:
 
 class TestBandCsr:
     def test_assembled_level_returns_its_stored_matrix(self, small_dataset_2d):
-        op = LevelOperator(small_dataset_2d, 3, 1.0).assemble()
+        op = assembled_level(small_dataset_2d, 3, 1.0)
         assert op.band_csr() is op.matrix
 
     def test_windows_level_builds_one_and_stays_matrix_free(self, small_dataset_2d):
@@ -319,7 +342,7 @@ class TestAssembleDense:
         op = build_level(data, level, 0.7, degrees)
         dense = op.assemble_dense()
         assert op.storage == "windows"
-        csr = LevelOperator(data, level, 0.7, degrees).assemble().matrix
+        csr = assembled_level(data, level, 0.7, degrees).matrix
         npt.assert_array_equal(dense, csr.toarray())
 
 
@@ -415,13 +438,13 @@ class TestEvaluateSpline:
         windows = build_level(data, 2, 1.0)
         alpha = rng.standard_normal(windows.size)
         ref = dense_tensor_design(windows.spaces, data.points) @ alpha
-        assembled = LevelOperator(data, 2, 1.0).assemble()
+        assembled = assembled_level(data, 2, 1.0)
         for op in (windows, assembled):
             npt.assert_allclose(op.fitted_values(alpha), ref, rtol=1e-12,
                                 atol=1e-12 * np.abs(ref).max())
 
     def test_builds_no_window_factors_for_the_queries(self, small_dataset_2d, monkeypatch, rng):
-        op = LevelOperator(small_dataset_2d, 3, 1.0).assemble()
+        op = assembled_level(small_dataset_2d, 3, 1.0)
         alpha = rng.standard_normal(op.size)
         expected = dense_tensor_design(op.spaces, small_dataset_2d.points) @ alpha
 
