@@ -15,10 +15,11 @@ optional header line are skipped.  A fit writes into its output directory:
 * ``grid.txt``        -- optional prediction grid (``--grid N`` points/axis).
 
 The text files keep ``np.savetxt``'s exact format (``%.17g`` unless noted)
-byte for byte.  They are written by `datasets.write_table`, which accepts
-only ``%.17g`` and ``%.17e`` and formats a block of rows at once with a numpy
-kernel; the entries it cannot prove (non-finite, zero, outside
-``[1e-250, 1e250]``, or near a decimal tie) go through Python's ``%``.
+byte for byte.  They are written by `datasets.write_blocks` (through
+`datasets.write_table` for a whole array), which accepts only ``%.17g`` and
+``%.17e`` and formats a block of rows at once with a numpy kernel; the
+entries it cannot prove (non-finite, zero, outside ``[1e-250, 1e250]``, or
+near a decimal tie) go through Python's ``%``.
 
 ``predict`` consumes a fit directory and raw-coordinate points; coordinates
 are mapped through the stored per-axis affine scaling before evaluation.
@@ -27,6 +28,10 @@ stderr); non-finite coordinates are an error, and so is a ``report.json``
 whose spaces or scaling maps miss a key or hold a malformed one: a number
 beyond the double range, or a level with more B-splines than
 ``coefficients.txt`` holds, which must be one column of finite numbers.
+Every check runs before the output file is opened.  The query file is read
+whole; the predictions are evaluated, formatted and written one
+`datasets.BLOCK_ROWS` block at a time, and so is ``grid.txt``, whose points
+each block makes from its row indices.
 
 A subcommand accepts only the flags it reads, each defaulting to its
 `RunConfig` field: ``generate`` the dataset flags, ``analyze`` all but the
@@ -48,9 +53,16 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import analysis
+from . import analysis, datasets
 from .bsplines import build_space
-from .datasets import generate_dataset, read_dataset, read_table, write_dataset, write_table
+from .datasets import (
+    generate_dataset,
+    read_dataset,
+    read_table,
+    write_blocks,
+    write_dataset,
+    write_table,
+)
 from .errors import (
     CapacityError,
     DomainError,
@@ -205,10 +217,17 @@ def _apply_scale(points: np.ndarray, scale) -> np.ndarray:
     return (points - lo) / (hi - lo)
 
 
-def _grid_points(num_axes: int, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, per_axis) for _ in range(num_axes)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+def _grid_blocks(op, alpha, per_axis: int):
+    """Row blocks ``[points, values]`` of the ``per_axis**P`` prediction
+    grid on ``[0, 1]**P`` in C order (the last axis fastest); each block's
+    points are made from their row indices, so no whole grid is formed."""
+    axis = np.linspace(0.0, 1.0, per_axis)
+    shape = (per_axis,) * len(op.spaces)
+    total = per_axis ** len(op.spaces)
+    for start in range(0, total, datasets.BLOCK_ROWS):
+        rows = np.arange(start, min(start + datasets.BLOCK_ROWS, total))
+        points = np.stack([axis[i] for i in np.unravel_index(rows, shape)], axis=1)
+        yield np.column_stack([points, op.predict(alpha, points)])
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -238,12 +257,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
         header=" ".join([f"x{p + 1}" for p in range(data.num_axes)] + ["residual"]),
     )
     if cfg.grid > 0:
-        pts = _grid_points(data.num_axes, cfg.grid)
-        write_table(
-            os.path.join(cfg.output, "grid.txt"),
-            np.column_stack([pts, op.predict(alpha, pts)]),
-            header=" ".join([f"x{p + 1}" for p in range(data.num_axes)] + ["value"]),
-        )
+        write_blocks(os.path.join(cfg.output, "grid.txt"),
+                     _grid_blocks(op, alpha, cfg.grid),
+                     header=" ".join([f"x{p + 1}" for p in range(data.num_axes)] + ["value"]))
 
     report = {
         "config": {k: v for k, v in asdict(cfg).items() if k != "output"},
@@ -408,17 +424,22 @@ def _cmd_predict(args) -> int:
     upper = np.array([s.upper for s in spaces])
     inside = ((points >= lower) & (points <= upper)).all(axis=1)
     outside = points.shape[0] - int(inside.sum())
-    values = np.full(points.shape[0], np.nan)
-    values[inside] = evaluate_spline(spaces, alpha, points[inside] if outside else points)
     if outside:
         print(f"{outside} point(s) outside the fitted box; their predictions are nan",
               file=sys.stderr)
-    write_table(
-        args.output,
-        np.column_stack([table[:, :dim], values]),
-        header=" ".join([f"x{p + 1}" for p in range(dim)] + ["value"]),
-    )
-    print(f"wrote {values.shape[0]} prediction(s) to {args.output}")
+
+    def blocks():
+        for start in range(0, points.shape[0], datasets.BLOCK_ROWS):
+            rows = slice(start, start + datasets.BLOCK_ROWS)
+            keep = inside[rows]
+            values = np.full(keep.size, np.nan)
+            values[keep] = evaluate_spline(spaces, alpha,
+                                           points[rows] if keep.all() else points[rows][keep])
+            yield np.column_stack([table[rows, :dim], values])
+
+    write_blocks(args.output, blocks(),
+                 header=" ".join([f"x{p + 1}" for p in range(dim)] + ["value"]))
+    print(f"wrote {points.shape[0]} prediction(s) to {args.output}")
     return EXIT_OK
 
 

@@ -1,13 +1,17 @@
 """Synthetic test data and delimited-text table I/O.
 
-Tables are written by `write_table` in `np.savetxt`'s exact format (one
+Tables are written by `write_blocks` in `np.savetxt`'s exact format (one
 space between columns, an optional ``# `` header line) with ``%.17g`` or
-``%.17e`` entries, formatted a block of ``BLOCK_ROWS`` rows at a time by a
-numpy kernel instead of one ``%`` per entry.  The kernel rounds each entry
-to its 17 or 18 significant digits exactly and hands the entries it cannot
-prove (non-finite values, zeros, magnitudes outside ``[1e-250, 1e250]`` and
-near-ties) to Python's own ``%``, so the bytes are those of ``%``.  Tables
-are read back by `read_table`, which also takes comma-separated files.
+``%.17e`` entries, from row blocks that it formats one at a time by a numpy
+kernel instead of one ``%`` per entry and writes before it takes the next;
+the blocks may come from a generator, so a caller that makes them one at a
+time (``splinemg predict``, ``fit --grid``) never holds the whole table.
+`write_table` writes a whole array as its ``BLOCK_ROWS``-row slices.  The
+kernel rounds each entry to its 17 or 18 significant digits exactly and
+hands the entries it cannot prove (non-finite values, zeros, magnitudes
+outside ``[1e-250, 1e250]`` and near-ties) to Python's own ``%``, so the
+bytes are those of ``%``, whatever the block sizes.  Tables are read back
+by `read_table`, which also takes comma-separated files.
 """
 from __future__ import annotations
 
@@ -77,23 +81,33 @@ def write_dataset(path, points, responses) -> None:
 
 def write_table(path, table, fmt="%.17g", header=None) -> None:
     """Write a 1D (one column) or 2D array as text, byte for byte as
-    ``np.savetxt(path, table, fmt=fmt, header=header or "")`` would.
-
-    ``fmt`` is ``"%.17g"`` or ``"%.17e"``, applied to every entry; any other
-    format raises `ParameterError`.  Columns are separated by one space.  A
-    non-empty ``header`` is written first as a ``# `` comment line.  Each
-    block of ``BLOCK_ROWS`` rows is formatted at once by `_format_block`.
-    """
-    if fmt not in FORMAT_DIGITS:
-        raise ParameterError(f"table format must be one of {sorted(FORMAT_DIGITS)}, got {fmt!r}")
+    ``np.savetxt(path, table, fmt=fmt, header=header or "")`` would: the
+    array's ``BLOCK_ROWS``-row slices through `write_blocks`."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim == 1:
         table = table[:, None]
+    write_blocks(path, (table[start : start + BLOCK_ROWS]
+                        for start in range(0, table.shape[0], BLOCK_ROWS)), fmt, header)
+
+
+def write_blocks(path, blocks, fmt="%.17g", header=None) -> None:
+    """Write the 2D row ``blocks`` of one table, in order, as text: the
+    bytes of ``np.savetxt`` on their concatenation, whatever their sizes.
+
+    ``fmt`` is ``"%.17g"`` or ``"%.17e"``, applied to every entry; any other
+    format raises `ParameterError` before the file is opened.  Columns are
+    separated by one space.  A non-empty ``header`` is written first as a
+    ``# `` comment line.  Each block is formatted at once by `_format_block`
+    and written before the next is taken, so a generator of blocks keeps
+    one block in memory.
+    """
+    if fmt not in FORMAT_DIGITS:
+        raise ParameterError(f"table format must be one of {sorted(FORMAT_DIGITS)}, got {fmt!r}")
     with open(path, "wb") as fh:
         if header:
             fh.write(("# " + header.replace("\n", "\n# ") + "\n").encode("utf-8"))
-        for start in range(0, table.shape[0], BLOCK_ROWS):
-            fh.write(_format_block(table[start : start + BLOCK_ROWS], fmt))
+        for block in blocks:
+            fh.write(_format_block(np.asarray(block, dtype=np.float64), fmt))
 
 
 @functools.cache

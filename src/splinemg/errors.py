@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its integer check."""
+"""Exception types shared across the package, and its integer and
+finiteness checks."""
 
 import numpy as np
 
@@ -41,3 +42,13 @@ def check_integer(value, message, minimum=None) -> int:
             or (minimum is not None and value < minimum)):
         raise ParameterError(f"{message}, got {value!r}")
     return int(value)
+
+
+def check_finite(values, what, name):
+    """``values``, unless an entry is not finite: then `ParameterError`
+    ``"{what} must be finite, {name}[i] is {value}"`` for the first such
+    entry ``i``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParameterError(f"{what} must be finite, {name}[{bad[0]}] is {values[bad[0]]}")
+    return values

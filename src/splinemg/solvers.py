@@ -15,7 +15,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, check_integer
+from .errors import NumericError, ParameterError, check_finite, check_integer
 from .multigrid import PRECONDITIONERS, Hierarchy, preconditioner
 from .system import LevelOperator
 
@@ -169,9 +169,11 @@ def cg_solve(op: LevelOperator, b, cfg: SolverConfig | None = None) -> SolveRepo
     ``abs_apply``).
 
     Reads only the stopping fields of ``cfg``; ``cfg.preconditioner`` is
-    ignored here (it is `mgcg_solve`'s switch).
+    ignored here (it is `mgcg_solve`'s switch).  A non-finite ``b`` raises
+    `ParameterError`, naming its first such entry, before any product.
     """
     cfg = cfg or SolverConfig(preconditioner="none")
+    b = check_finite(np.ascontiguousarray(b, dtype=np.float64), "right-hand side", "b")
     window = op.design.rel.shape[0] if hasattr(op, "design") else 0
     return _pcg(op, b, None, cfg.tolerance, cfg.resolved_max_iterations(op.size),
                 aux_bytes=8 * window, label="cg")

@@ -31,7 +31,14 @@ import scipy.sparse
 
 from . import kernels
 from .bsplines import MAX_DEGREE, build_space, csr_index_dtype, eval_basis_batch, gram_matrix
-from .errors import CapacityError, DomainError, ParameterError, ShapeError, check_integer
+from .errors import (
+    CapacityError,
+    DomainError,
+    ParameterError,
+    ShapeError,
+    check_finite,
+    check_integer,
+)
 from .tensorops import (
     KhatriRaoFactors,
     khatri_rao_gram_diag,
@@ -410,15 +417,19 @@ class LevelOperator:
             out += (self.lam * term.weight) * kron_matvec([abs(g) for g in term.factors], v)
         return out
 
+    def _responses(self, y) -> np.ndarray:
+        """``y`` (the training responses by default), checked for length and
+        refused with `ParameterError` when an entry is not finite."""
+        if y is None:
+            y = self.dataset.responses
+        return check_finite(self._check(y, self.dataset.n), "responses", "y")
+
     def rhs(self, y=None) -> np.ndarray:
         """Right-hand side ``B'y`` (training responses by default, a copy of
         the kept ``rhs`` if there is one); a non-finite ``y`` raises `ParameterError`."""
         if y is None and self._rhs is not None:
             return self._rhs.copy()
-        y = self.dataset.responses if y is None else self._check(y, self.dataset.n)
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            raise ParameterError(f"responses must be finite, y[{bad[0]}] is {y[bad[0]]}")
+        y = self._responses(y)
         design = self.design
         if self.matrix is not None:  # an assembled level stores no windows
             design = design_factors(self.spaces, self.dataset.points)
@@ -461,9 +472,10 @@ class LevelOperator:
 
     def objective(self, alpha, y=None):
         """Return ``(ls, roughness)``: squared misfit and penalty quadratic
-        form.  The full objective is ``ls + lam * roughness``."""
+        form.  The full objective is ``ls + lam * roughness``.  A non-finite
+        ``y`` raises `ParameterError`, as in `rhs`."""
         alpha = self._check(alpha)
-        y = self.dataset.responses if y is None else self._check(y, self.dataset.n)
+        y = self._responses(y)
         resid = self.fitted_values(alpha) - y
         return float(resid @ resid), self.roughness(alpha)
 

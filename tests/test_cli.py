@@ -1,13 +1,14 @@
 import json
 import os
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinemg import analysis, build_space, cli, system
+from splinemg import analysis, build_space, cli, datasets, system
 from oracles import dense_tensor_design
 
 
@@ -458,8 +459,67 @@ class TestFit:
         ref = dense_tensor_design(model_spaces(out), corners) @ np.loadtxt(out / "coefficients.txt")
         npt.assert_allclose(grid[:, 2], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
+    def test_grid_block_borders_keep_bytes(self, tmp_path, monkeypatch):
+        grids = []
+        for rows in (datasets.BLOCK_ROWS, 7):
+            monkeypatch.setattr(datasets, "BLOCK_ROWS", rows)
+            out = tmp_path / f"g{rows}"
+            assert run(["fit", *BASE_FIT, "--grid", 6, "--output", out]) == 0
+            grids.append((out / "grid.txt").read_bytes())
+        assert grids[0] == grids[1]
+        axes = np.meshgrid(*[np.linspace(0.0, 1.0, 6)] * 2, indexing="ij")
+        points = np.loadtxt(tmp_path / "g7" / "grid.txt")[:, :2]
+        npt.assert_array_equal(points, np.stack([a.ravel() for a in axes], axis=1))
+
 
 class TestPredict:
+    def test_block_borders_keep_bytes_and_outside_count(self, fit_dir, tmp_path, capsys,
+                                                         monkeypatch):
+        queries = np.random.default_rng(8).random((60, 2))
+        queries[[3, 17, 40]] = [[1.2, 0.5], [0.5, -0.1], [2.0, 2.0]]  # blocks 0, 2 and 5 at 7
+        np.savetxt(tmp_path / "q.txt", queries, fmt="%.17g")
+        outputs = []
+        for rows in (datasets.BLOCK_ROWS, 7):
+            monkeypatch.setattr(datasets, "BLOCK_ROWS", rows)
+            out = tmp_path / f"p{rows}.txt"
+            assert run(["predict", "--model", fit_dir, "--input", tmp_path / "q.txt",
+                        "--output", out]) == cli.EXIT_OK
+            outputs.append((out.read_bytes(), capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][1] == "3 point(s) outside the fitted box; their predictions are nan\n"
+
+    def test_non_finite_coordinate_in_last_block_writes_nothing(self, fit_dir, tmp_path,
+                                                                 capsys, monkeypatch):
+        monkeypatch.setattr(datasets, "BLOCK_ROWS", 7)
+        queries = np.random.default_rng(9).random((60, 2))
+        queries[58, 1] = np.inf
+        np.savetxt(tmp_path / "q.txt", queries, fmt="%.17g")
+        out = tmp_path / "p.txt"
+        assert run(["predict", "--model", fit_dir, "--input", tmp_path / "q.txt",
+                    "--output", out]) == cli.EXIT_CONFIG
+        assert "1 point(s) with non-finite coordinates, first offending rows [58]" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_the_query_count(self, tmp_path):
+        # the query table, its scaled copy and the inside mask are the only
+        # whole-table arrays; evaluating and formatting one block at a time
+        # needs temporaries that do not grow with the row count, while
+        # evaluating every query at once needs about 20 table sizes
+        model = tmp_path / "fit"
+        assert run(["fit", "--dim", 1, "--n", 2000, "--levels", 5, "--output", model]) == 0
+        table = np.random.default_rng(10).random((200_000, 1)) * 1.02 - 0.01
+        np.savetxt(tmp_path / "q.txt", table, fmt="%.17g")
+        tracemalloc.start()
+        try:
+            code = run(["predict", "--model", model, "--input", tmp_path / "q.txt",
+                        "--output", tmp_path / "p.txt"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert peak < 3 * table.nbytes + 3 * 2**20
+
     def test_points_outside_fitted_box_get_nan(self, fit_dir, tmp_path, capsys):
         both, alone = tmp_path / "both.txt", tmp_path / "alone.txt"
         np.savetxt(both, [[0.5, 0.5], [1.5, 0.5]])

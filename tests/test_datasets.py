@@ -7,7 +7,13 @@ from hypothesis.extra.numpy import arrays
 
 from splinemg import ParameterError, generate_dataset, read_dataset, sigmoid_target, write_dataset
 from splinemg import datasets
-from splinemg.datasets import BLOCK_ROWS, FORMAT_DIGITS, read_table, write_table
+from splinemg.datasets import (
+    BLOCK_ROWS,
+    FORMAT_DIGITS,
+    read_table,
+    write_blocks,
+    write_table,
+)
 
 
 class TestSigmoidTarget:
@@ -179,7 +185,19 @@ class TestWriteTable:
             proven = datasets._significand(block.ravel(), FORMAT_DIGITS[fmt])[2]
             assert proven.all()
 
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.17e"])
+    def test_any_block_sizes_write_the_same_bytes(self, tmp_path, rng, fmt):
+        table = self.hard_values(rng)[:3000].reshape(-1, 3)
+        cuts = [0, 1, 1, 2, 9, 700, 701, 1000]  # empty, one-row and uneven blocks
+        write_blocks(tmp_path / "blocks.txt",
+                     (table[a:b] for a, b in zip(cuts, cuts[1:])), fmt, "x1 x2 y")
+        write_table(tmp_path / "whole.txt", table, fmt, "x1 x2 y")
+        assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+
     @pytest.mark.parametrize("fmt", ["%.16g", "%.17f", "%.17g ", "%s", "%r"])
     def test_other_formats_are_refused(self, tmp_path, fmt):
         with pytest.raises(ParameterError, match="table format"):
             write_table(tmp_path / "t.txt", np.ones(3), fmt=fmt)
+        with pytest.raises(ParameterError, match="table format"):
+            write_blocks(tmp_path / "t.txt", iter([np.ones((3, 1))]), fmt)
+        assert not (tmp_path / "t.txt").exists()

@@ -63,6 +63,22 @@ class TestPlainCg:
         assert rep.iterations == 0 and rep.converged
         npt.assert_array_equal(rep.coefficients, np.zeros(op.size))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_refused_before_any_product(self, small_dataset_2d, bad,
+                                                        monkeypatch):
+        op = build_level(small_dataset_2d, 3, 1.0)
+        b = op.rhs()
+        b[4] = bad
+
+        def no_product(*_):
+            raise AssertionError("cg_solve took a product")
+
+        monkeypatch.setattr(op, "apply", no_product)
+        monkeypatch.setattr(op, "abs_apply", no_product)
+        with pytest.raises(ParameterError,
+                           match=rf"right-hand side must be finite, b\[4\] is {bad}"):
+            cg_solve(op, b)
+
     def test_monotone_energy_norm_error(self, small_dataset_1d):
         op = build_level(small_dataset_1d, 3, 1.0)
         a = op.assemble_dense()

@@ -193,6 +193,19 @@ class TestRhs:
             with pytest.raises(ParameterError, match=r"responses must be finite, y\[7\]"):
                 op.rhs(y)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_objective_refuses_non_finite_responses_as_rhs_does(self, small_dataset_2d, bad):
+        y = small_dataset_2d.responses.copy()
+        y[7] = bad
+        for op in (build_level(small_dataset_2d, 3, 1.0),
+                   assembled_level(small_dataset_2d, 3, 1.0, with_rhs=True)):
+            with pytest.raises(ParameterError) as from_rhs:
+                op.rhs(y)
+            with pytest.raises(ParameterError) as from_objective:
+                op.objective(np.zeros(op.size), y)
+            assert str(from_objective.value) == str(from_rhs.value) == (
+                f"responses must be finite, y[7] is {bad}")
+
     def test_kept_rhs_is_shape_checked(self, small_dataset_2d):
         windows = build_level(small_dataset_2d, 3, 1.0)
         with pytest.raises(ShapeError, match="expected vector of length 121"):
