@@ -9,14 +9,16 @@ it (the Galerkin relation).
 `build_hierarchy` picks the first level to assemble from its own windows;
 every level below it is the sparse Galerkin product ``P' A P`` of the level
 above, and every level above it stays matrix-free.  The finest level is
-assembled when its band CSR, together with the ``B'y`` it keeps, stores no
-more numbers than the per-point window arrays it replaces (many points on
-few coefficients, as in 1D); this keeps the hierarchy's memory no larger
-than with a matrix-free finest level.  Otherwise the walk goes down from
-level ``G - 1``; levels stay matrix-free until the first one whose band
-nonzeros fit into the window entries of one data pass
-(``n * prod(q + 1)``), so that one CSR product costs no more than one pass
-over the data.  Only the coarsest operator is factorized; above
+assembled when its band CSR, together with the ``B'y`` it keeps, counts no
+more numbers than ``n (P (max q + 1) + P + 1)``, window values and bases
+plus one offset per axis and point (many points on few coefficients, as in
+1D).  For degrees ``>= 2`` that keeps it within the bytes of the windows it
+replaces wherever its CSR indices are 32-bit, so the hierarchy's memory
+stays no larger than with a matrix-free finest level.  Otherwise the walk
+goes down from level ``G - 1``; levels stay matrix-free until the first one
+whose band nonzeros fit into the window entries of one data pass (``n *
+prod(q + 1)``), so that one CSR product costs no more than one pass over the
+data.  Only the coarsest operator is factorized; above
 `system.DENSE_CAP` it is solved by the package's CG (`solvers.cg_solve`)
 instead.
 
@@ -185,11 +187,14 @@ def first_assembled_level(spaces, n: int) -> int:
 
     ``spaces[g - 1]`` are the axis spaces of level ``g``.  The finest level
     ``G`` qualifies when ``2 nnz + K + 1`` CSR numbers (values, indices and
-    index pointers) plus its ``K`` numbers of ``B'y`` are at most the ``n (P
-    (max q + 1) + P + 1)`` numbers of its window values, offsets and bases;
-    the window odometer is kept by both storages.  The rule counts numbers,
-    not bytes, so a 32-bit CSR index weighs as much as a value.  Otherwise it is the finest level below ``G`` whose band
-    holds at most ``n prod(q + 1)`` nonzeros.
+    index pointers) plus its ``K`` numbers of ``B'y`` are at most ``n (P
+    (max q + 1) + P + 1)``, window values and bases plus one offset per axis
+    and point (``rel`` is kept by both storages).  The rule counts numbers,
+    so a 32-bit CSR index weighs as much as a value.  In bytes, a level with
+    32-bit indices takes ``12 nnz + 12 K + 4 <= 6 n (P (max q + 1) + P + 1)
+    - 2``, at most the windows' ``8 n (P (max q + 1) + 1)`` when ``max q >=
+    2``.  Otherwise it is the finest level below ``G`` whose band holds at
+    most ``n prod(q + 1)`` nonzeros.
     """
     degrees = [s.degree for s in spaces[-1]]
     num_axes = len(degrees)
@@ -389,7 +394,9 @@ def gauss_seidel_sweep(upper, root, alpha, b) -> None:
 
 def gauss_seidel_smoother(hier: Hierarchy):
     """Symmetric Gauss-Seidel smoother ``(g, alpha, b, steps, phase) -> alpha``
-    of levels ``2..G`` (``alpha=None``: zero start; any phase) and the bytes it stores.
+    of the levels at hierarchy positions ``g = 2..G``, the positions `v_cycle`
+    passes, whatever their grid levels (``alpha=None``: zero start; any phase)
+    and the bytes it stores.
 
     Each level keeps only its `scaled_upper_triangle` and ``root``, cut from
     its `LevelOperator.band_csr` (built and dropped on a windows level).
@@ -403,10 +410,10 @@ def gauss_seidel_smoother(hier: Hierarchy):
             raise CapacityError(f"mg-ssor on level {op.level}: its band holds {nnz} "
                                 f"entries, more than DENSE_CAP**2 = {cap}")
     sweeps, stored = {}, 0
-    for op in hier.levels[1:]:
+    for g, op in enumerate(hier.levels[1:], start=2):
         upper, root = scaled_upper_triangle(op.band_csr())
         stored += stored_bytes(upper) + root.nbytes
-        sweeps[op.level] = (upper, root)
+        sweeps[g] = (upper, root)
 
     def smoother(g, alpha, b, steps, phase):
         upper, root = sweeps[g]

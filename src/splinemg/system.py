@@ -48,6 +48,7 @@ from .tensorops import (
     kron_diagonal,
     kron_matvec,
     stored_bytes,
+    window_index,
 )
 
 # largest dense dimension (squared: largest mg-ssor band); read here at each use
@@ -175,17 +176,21 @@ def design_factors(spaces, points) -> KhatriRaoFactors:
     """Per-point basis activations of all axes as window factors.
 
     Row ``i`` of the implied per-axis design matrix has exactly
-    ``degree + 1`` contiguous nonzeros summing to one.
+    ``degree + 1`` contiguous nonzeros summing to one.  The basis is
+    evaluated in slices of ``kernels.CHUNK_ENTRIES // (max q + 1)`` points,
+    straight into the stored window values and bases.
     """
-    offsets = np.empty((points.shape[0], len(spaces)), dtype=np.int64)
-    windows = []
-    for p, space in enumerate(spaces):
-        off, vals = eval_basis_batch(space, points[:, p], 0)
-        offsets[:, p] = off
-        windows.append(vals)
-    return KhatriRaoFactors.from_windows(
-        row_dims=tuple(s.dim for s in spaces), offsets=offsets, window_values=windows
-    )
+    dims = tuple(s.dim for s in spaces)
+    counts = np.array([s.degree + 1 for s in spaces], dtype=np.int64)
+    n, width = points.shape[0], int(counts.max())
+    values, base = np.zeros((n, len(spaces), width)), np.empty(n, dtype=np.int64)
+    _, rel = window_index(dims, counts, [()] * len(spaces))  # rel reads no offsets
+    for lo, hi in kernels._chunks(n, width):
+        offsets = [None] * len(spaces)
+        for p, space in enumerate(spaces):
+            offsets[p], values[lo:hi, p, : counts[p]] = eval_basis_batch(space, points[lo:hi, p])
+        base[lo:hi], _ = window_index(dims, counts, offsets)
+    return KhatriRaoFactors(dims, n, counts, values, base, rel)
 
 
 def evaluate_spline(spaces, alpha, points) -> np.ndarray:
@@ -195,8 +200,8 @@ def evaluate_spline(spaces, alpha, points) -> np.ndarray:
     Each axis's basis is evaluated once at all points (`eval_basis_batch`),
     and `kernels.gather` contracts every point's coefficient window with
     those ``(n, degree + 1)`` arrays one axis at a time.  Only the flat
-    window base of each point is formed besides them: no `KhatriRaoFactors`,
-    no ``(n, P, degree + 1)`` copy of the values and no per-axis offsets.
+    window base of each point is formed besides them (`window_index`): no
+    `KhatriRaoFactors` and no ``(n, P, degree + 1)`` copy of the values.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -207,15 +212,8 @@ def evaluate_spline(spaces, alpha, points) -> np.ndarray:
     size = prod(s.dim for s in spaces)
     if alpha.shape != (size,):
         raise ShapeError(f"expected vector of length {size}, got {alpha.shape}")
-    base = np.zeros(points.shape[0], dtype=np.int64)
-    rel = np.zeros(1, dtype=np.int64)
-    values = [None] * len(spaces)
-    stride = 1
-    for p in range(len(spaces) - 1, -1, -1):
-        off, values[p] = eval_basis_batch(spaces[p], points[:, p], 0)
-        base += stride * off
-        rel = (stride * np.arange(values[p].shape[1])[:, None] + rel[None, :]).ravel()
-        stride *= spaces[p].dim
+    offsets, values = zip(*(eval_basis_batch(s, points[:, p], 0) for p, s in enumerate(spaces)))
+    base, rel = window_index([s.dim for s in spaces], [v.shape[1] for v in values], offsets)
     return kernels.gather(values, base, rel, alpha, np.empty(points.shape[0]))
 
 
@@ -497,13 +495,13 @@ class LevelOperator:
         return self.band_csr().toarray()
 
     def memory_bytes(self) -> int:
-        """Bytes of the stored operator arrays: design windows, assembled
-        matrix (values and CSR indices) and kept ``B'y``, penalty factors
-        (each shared 1D Gram once), cached float64 diagonal and index
-        helpers."""
+        """Bytes of the stored operator arrays: design window values, bases
+        and offsets ``rel``, assembled matrix (values and CSR indices) and
+        kept ``B'y``, penalty factors (each shared 1D Gram once) and cached
+        float64 diagonal; the design's derived ``offsets`` and ``digits``
+        are not stored."""
         f = self.design
-        count = f.values.nbytes + f.offsets.nbytes + f.base.nbytes
-        count += f.rel.nbytes + f.digits.nbytes
+        count = f.values.nbytes + f.base.nbytes + f.rel.nbytes
         if self.matrix is not None:
             count += stored_bytes(self.matrix)
         if self._rhs is not None:

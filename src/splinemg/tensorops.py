@@ -4,12 +4,13 @@ Linearization convention (shared by every module and asserted in tests):
 axis 1 is the slowest-varying index, i.e. a coefficient tensor of shape
 ``(n_1, ..., n_P)`` is flattened in C order, and the factor list
 ``[A_1, ..., A_P]`` of a Kronecker product is ordered accordingly.
-`KhatriRaoFactors` hands the window kernels its per-axis value views
-(`KhatriRaoFactors.axis_windows`) with flat bases and window offsets.
+`window_index` forms the flat window bases and offsets the window kernels
+read; `KhatriRaoFactors` stores them with its window values only and hands
+the kernels per-axis value views (`KhatriRaoFactors.axis_windows`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -95,41 +96,56 @@ def stored_bytes(factor) -> int:
     return int(factor.data.nbytes + factor.indices.nbytes + factor.indptr.nbytes)
 
 
+def window_index(row_dims, counts, axis_offsets):
+    """``(base, rel)`` of windows of ``counts[p]`` rows starting at
+    ``axis_offsets[p]`` (``P`` equal-length integer arrays): each point's
+    flat first row, and the flat offsets of the ``prod(counts)`` window
+    positions in C order.  A window that leaves its axis raises `ShapeError`.
+    """
+    if not len(axis_offsets) == len(counts) == len(row_dims):
+        raise ShapeError("offsets, counts and row_dims disagree on axis count")
+    base = np.zeros(len(axis_offsets[0]), dtype=np.int64)
+    rel = np.zeros(1, dtype=np.int64)
+    stride = 1
+    for p in range(len(row_dims) - 1, -1, -1):
+        off, count, dim = np.asarray(axis_offsets[p], dtype=np.int64), counts[p], row_dims[p]
+        if off.size and (off.min() < 0 or off.max() + count > dim):
+            raise ShapeError(f"axis {p}: windows of width {count} must lie within its "
+                             f"{dim} rows, got first rows {off.min()}..{off.max()}")
+        base += stride * off
+        rel = (stride * np.arange(count)[:, None] + rel[None, :]).ravel()
+        stride *= int(dim)
+    return base, rel
+
+
 @dataclass
 class KhatriRaoFactors:
     """Columnwise Kronecker product held as per-column windows.
 
     The represented matrix has shape ``(prod(row_dims), n_cols)`` with column
     ``i`` equal to the Kronecker product of the factor columns ``A_p[:, i]``.
-    Each factor column is stored as a contiguous window (``offsets[i, p]``,
-    ``values[i, p, :counts[p]]``); rows outside the window are zero.  Dense
-    factors are the special case of full-height windows.
-
-    Precomputed index helpers: ``base`` (flat row of each column's first
-    window entry), and the window odometer ``digits``/``rel`` enumerating
-    the ``prod(counts)`` window positions.
+    Each factor column is stored as a contiguous window of values
+    ``values[i, p, :counts[p]]``; rows outside the window are zero.  Dense
+    factors are the special case of full-height windows.  The windows'
+    positions are stored as their `window_index` only.
     """
 
     row_dims: tuple
     n_cols: int
     counts: np.ndarray
-    values: np.ndarray   # (n_cols, P, max(counts)) float64
-    offsets: np.ndarray  # (n_cols, P) int64
-    base: np.ndarray = field(init=False)
-    digits: np.ndarray = field(init=False)
-    rel: np.ndarray = field(init=False)
+    values: np.ndarray  # (n_cols, P, max(counts)) float64
+    base: np.ndarray  # (n_cols,) int64
+    rel: np.ndarray  # (prod(counts),) int64
 
-    def __post_init__(self):
-        dims = np.asarray(self.row_dims, dtype=np.int64)
-        strides = np.ones(len(dims), dtype=np.int64)
-        for p in range(len(dims) - 2, -1, -1):
-            strides[p] = strides[p + 1] * dims[p + 1]
-        self.base = self.offsets @ strides
-        ncomb = int(np.prod(self.counts))
-        self.digits = np.stack(
-            np.unravel_index(np.arange(ncomb), tuple(self.counts)), axis=1
-        ).astype(np.int64)
-        self.rel = self.digits @ strides
+    @property
+    def offsets(self) -> np.ndarray:
+        """First window row per column and axis, ``(n_cols, P)`` (derived)."""
+        return np.stack(np.unravel_index(self.base, self.row_dims), axis=1)
+
+    @property
+    def digits(self) -> np.ndarray:
+        """Window odometer, ``(prod(counts), P)`` positions in ``rel``'s order (derived)."""
+        return np.stack(np.unravel_index(np.arange(self.rel.size), self.counts.tolist()), axis=1)
 
     @property
     def n_rows(self) -> int:
@@ -146,34 +162,20 @@ class KhatriRaoFactors:
 
     @classmethod
     def from_windows(cls, row_dims, offsets, window_values) -> "KhatriRaoFactors":
-        """Build from per-axis windows.
-
-        Parameters
-        ----------
-        row_dims : sequence of int
-            Row count per axis.
-        offsets : (n, P) integer array
-            First active row per column and axis.
-        window_values : sequence of P arrays, each (n, w_p)
-            Window values per axis.
-        """
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        """Build from per-axis windows: ``row_dims``, the row count per axis,
+        ``offsets`` ``(n, P)``, the first window row per column and axis, and
+        ``window_values``, ``P`` arrays ``(n, w_p)`` of window values."""
+        offsets = np.asarray(offsets)
         n_cols, num_axes = offsets.shape
-        if len(window_values) != num_axes or len(row_dims) != num_axes:
-            raise ShapeError("offsets, window_values and row_dims disagree on axis count")
         counts = np.array([w.shape[1] for w in window_values], dtype=np.int64)
+        base, rel = window_index(row_dims, counts, offsets.T)
         values = np.zeros((n_cols, num_axes, int(counts.max())))
         for p, w in enumerate(window_values):
             if w.shape[0] != n_cols:
                 raise ShapeError("window value arrays must share the column count")
             values[:, p, : w.shape[1]] = w
-        return cls(
-            row_dims=tuple(int(d) for d in row_dims),
-            n_cols=n_cols,
-            counts=counts,
-            values=values,
-            offsets=offsets,
-        )
+        return cls(row_dims=tuple(int(d) for d in row_dims), n_cols=n_cols, counts=counts,
+                   values=values, base=base, rel=rel)
 
     def axis_windows(self) -> tuple:
         """Per-axis window values, ``(n_cols, counts[p])`` views of ``values``."""

@@ -477,6 +477,20 @@ class TestVCycle:
         else:
             assert asymmetry > 1e-6
 
+    @pytest.mark.parametrize("precond", ["mg-jacobi", "mg-ssor"])
+    def test_smoothers_keyed_by_position_not_grid_level(self, precond):
+        # levels 2, 3 and 4 at positions 1, 2 and 3: the smoother of position
+        # g must act on the level v_cycle passes as g, whatever its grid level
+        data = make_dataset(2, 3000, seed=6)
+        levels = [build_level(data, g, 1.0) for g in (2, 3, 4)]
+        transfers = [
+            tuple(subdivision_matrix(c, f) for c, f in zip(levels[i].spaces, levels[i + 1].spaces))
+            for i in range(2)
+        ]
+        hier = Hierarchy(levels, transfers, 2, 2)
+        report = mgcg_solve(hier, cfg=SolverConfig(tolerance=1e-8, preconditioner=precond))
+        assert report.converged and report.iterations <= 10
+
 
 class TestAssembledLevels:
     @pytest.mark.parametrize("num_axes,levels,n,assembled", [
@@ -588,7 +602,7 @@ class TestAssembledLevels:
                 # one Gram per axis and derivative order, however many terms share it
                 penalty = sum(stored_bytes(gram_matrix(s, r)) for s in op.spaces
                               for r in (0, 1, 2))
-                helpers = op.design.rel.nbytes + op.design.digits.nbytes
+                helpers = op.design.rel.nbytes
                 assert op.memory_bytes() == (stored_bytes(op.matrix) + penalty + helpers
                                              + 8 * op.size)
             finest = hier.finest

@@ -134,6 +134,18 @@ class TestTrueResidual:
         assert cg_solve(op, np.zeros(op.size)).true_relative_residual == 0.0
 
 
+class TestGridIndependence:
+    def test_p3_mg_jacobi_counts_stay_flat(self):
+        # P=3, n=20k: mg-jacobi MGCG counts over G=3..5 (29, 27 and 29 when
+        # measured), held to criterion 04's spread bound
+        data = generate_dataset(3, 20_000, 0.1, seed=0)
+        cfg = SolverConfig(tolerance=1e-8, preconditioner="mg-jacobi")
+        reports = [mgcg_solve(build_hierarchy(data, g, 1.0), cfg=cfg) for g in (3, 4, 5)]
+        assert all(r.converged for r in reports)
+        counts = [r.iterations for r in reports]
+        assert max(counts) - min(counts) <= 3, counts
+
+
 class TestMgcg:
     def test_agrees_with_plain_cg(self, small_dataset_2d):
         hier = build_hierarchy(small_dataset_2d, 4, 1.0)

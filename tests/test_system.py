@@ -24,7 +24,8 @@ from splinemg import (
     penalty_terms,
 )
 from splinemg import kernels, system
-from splinemg.system import LevelOperator, evaluate_spline
+from splinemg.bsplines import eval_basis_batch
+from splinemg.system import LevelOperator, design_factors, evaluate_spline
 from splinemg.tensorops import stored_bytes
 from conftest import make_dataset
 from oracles import dense_rhs, dense_system_matrix, dense_tensor_design
@@ -244,8 +245,8 @@ class TestRhs:
         kept = op.rhs()
         npt.assert_allclose(kept, dense_rhs(op), rtol=1e-12, atol=1e-12)
         penalty = sum(stored_bytes(g) for t in op.penalty for g in t.factors)
-        helpers = op.design.rel.nbytes + op.design.digits.nbytes
-        # CSR, penalty factors, window odometer, diagonal and the kept B'y
+        helpers = op.design.rel.nbytes
+        # CSR, penalty factors, window offsets rel, diagonal and the kept B'y
         assert op.memory_bytes() == stored_bytes(op.matrix) + penalty + helpers + 16 * op.size
         y = rng.standard_normal(data.n)
         npt.assert_allclose(op.rhs(y), dense_rhs(op, y), rtol=1e-12, atol=1e-12)
@@ -413,6 +414,39 @@ class TestObjectiveAndPredict:
         op = build_level(small_dataset_2d, 2, 1.0)
         with pytest.raises(DomainError):
             op.predict(np.ones(op.size), np.array([[0.5, 1.2]]))
+
+
+class TestDesignFactors:
+    """The windows evaluated slice by slice hold the bits of one whole-array
+    evaluation per axis."""
+
+    @pytest.mark.parametrize("degrees", [(5,), (2, 4), (3, 2, 5)])
+    def test_equals_whole_array_evaluation(self, degrees, rng):
+        spaces = tuple(build_space(-1.0, 2.0, 2, q) for q in degrees)
+        n = 3 * (kernels.CHUNK_ENTRIES // (max(degrees) + 1)) + 5  # four slices
+        points = -1.0 + 3.0 * rng.random((n, len(degrees)))
+        for p in range(len(degrees)):
+            points[p::5, p] = 2.0  # on each axis's upper bound
+        points[-1] = 2.0
+        f = design_factors(spaces, points)
+        base, stride = np.zeros(n, dtype=np.int64), 1
+        for p in range(len(spaces) - 1, -1, -1):
+            off, vals = eval_basis_batch(spaces[p], points[:, p], 0)
+            assert np.array_equal(f.values[:, p, : degrees[p] + 1], vals)
+            assert not f.values[:, p, degrees[p] + 1 :].any()
+            base += stride * off
+            stride *= spaces[p].dim
+        assert np.array_equal(f.base, base)
+        assert f.rel.size == np.prod([q + 1 for q in degrees])
+
+    @pytest.mark.parametrize("degrees", [(3,), (2, 4), (3, 2, 5)])
+    def test_windows_level_fits_as_evaluate_spline(self, degrees, rng):
+        data = make_dataset(len(degrees), 3000, seed=4)
+        op = build_level(data, 2, 1.0, degrees)
+        assert op.storage == "windows"
+        alpha = rng.standard_normal(op.size)
+        assert np.array_equal(op.fitted_values(alpha),
+                              evaluate_spline(op.spaces, alpha, data.points))
 
 
 class TestEvaluateSpline:

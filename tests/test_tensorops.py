@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -305,6 +306,36 @@ class TestKhatriRao:
             khatri_rao_tmatvec(example, np.ones(3))
         with pytest.raises(ShapeError):
             KhatriRaoFactors.from_dense([np.ones((2, 2)), np.ones((2, 3))])
+
+    def test_refuses_windows_outside_their_axis(self):
+        # first row -1 would wrap around: column . y would read y[4] + y[0]
+        with pytest.raises(ShapeError, match="axis 0: windows of width 2 must lie within its 5"):
+            KhatriRaoFactors.from_windows((5,), [[-1]], [np.ones((1, 2))])
+        # first row 2 of width 2 on a 3-row second axis would spill into the
+        # next first-axis row (flat rows 2, 3, 5 and 6)
+        with pytest.raises(ShapeError, match="axis 1: .* got first rows 2..2"):
+            KhatriRaoFactors.from_windows((3, 3), [[0, 2]], [np.ones((1, 2))] * 2)
+        # windows that end on their axes' last rows are accepted
+        f = KhatriRaoFactors.from_windows((3, 3), [[1, 1]], [np.ones((1, 2))] * 2)
+        npt.assert_array_equal(np.flatnonzero(f.toarray()[:, 0]), [4, 5, 7, 8])
+
+    def test_stores_only_values_and_the_window_index(self, rng):
+        assert [fld.name for fld in dataclasses.fields(KhatriRaoFactors)] == [
+            "row_dims", "n_cols", "counts", "values", "base", "rel"]
+        n, dims, widths = 40, (7, 5, 6), (3, 2, 4)
+        offsets = np.column_stack([rng.integers(0, d - w + 1, size=n)
+                                   for d, w in zip(dims, widths)])
+        f = KhatriRaoFactors.from_windows(dims, offsets, [rng.random((n, w)) for w in widths])
+        npt.assert_array_equal(f.offsets, offsets)
+        npt.assert_array_equal(f.base, offsets @ [30, 6, 1])
+        npt.assert_array_equal(f.digits, np.argwhere(np.ones(widths)))
+        npt.assert_array_equal(f.rel, f.digits @ [30, 6, 1])
+        assert f.offsets.dtype == f.digits.dtype == f.base.dtype == f.rel.dtype == np.int64
+        empty = KhatriRaoFactors.from_windows(dims, np.zeros((0, 3)),
+                                              [np.empty((0, w)) for w in widths])
+        assert empty.offsets.shape == (0, 3) and empty.base.shape == (0,)
+        assert empty.digits.shape == (24, 3)
+        npt.assert_array_equal(empty.rel, f.rel)
 
 
 class TestKernels:
